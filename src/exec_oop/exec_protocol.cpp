@@ -1,6 +1,7 @@
 #include "exec_oop/exec_protocol.hpp"
 
 #include <poll.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -247,13 +248,101 @@ ReadStatus read_full_deadline(int fd, void* data, std::size_t size,
                           });
 }
 
+namespace {
+
+/// write_full_deadline over `head` followed by `body`, gathered into one
+/// writev per pipe-buffer's worth.
+ReadStatus write_full_deadline(int fd, ByteSpan head, ByteSpan body,
+                               int timeout_ms) {
+  return full_io_deadline(
+      fd, head.size() + body.size(), timeout_ms, POLLOUT,
+      [fd, head, body](std::size_t done) {
+        struct iovec iov[2];
+        int count = 0;
+        if (done < head.size()) {
+          iov[count++] = {const_cast<std::uint8_t*>(head.data()) + done,
+                          head.size() - done};
+          done = 0;
+        } else {
+          done -= head.size();
+        }
+        if (done < body.size()) {
+          iov[count++] = {const_cast<std::uint8_t*>(body.data()) + done,
+                          body.size() - done};
+        }
+        return ::writev(fd, iov, count);
+      });
+}
+
+// Request v2 [u32 timeout][u32 control][u32 len], v1 [u32 timeout][u32 len];
+// reply v2 [i32 wstatus][u32 flags][u32 iteration], v1 [i32 wstatus][u8].
+constexpr std::size_t request_bytes(int version) {
+  return version >= 2 ? 12 : 8;
+}
+constexpr std::size_t reply_bytes(int version) {
+  return version >= 2 ? 12 : 5;
+}
+
+}  // namespace
+
 ReadStatus write_full_deadline(int fd, const void* data, std::size_t size,
                                int timeout_ms) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  return full_io_deadline(fd, size, timeout_ms, POLLOUT,
-                          [fd, bytes, size](std::size_t done) {
-                            return ::write(fd, bytes + done, size - done);
-                          });
+  return write_full_deadline(
+      fd, ByteSpan(static_cast<const std::uint8_t*>(data), size), {},
+      timeout_ms);
+}
+
+ReadStatus write_request(int fd, int version, std::uint32_t timeout_ms,
+                         std::uint32_t control, ByteSpan packet,
+                         int io_timeout_ms) {
+  const auto length = static_cast<std::uint32_t>(packet.size());
+  std::uint8_t wire[12];
+  store<std::uint32_t>(wire, 0, timeout_ms);
+  if (version >= 2) {
+    store<std::uint32_t>(wire, 4, control);
+    store<std::uint32_t>(wire, 8, length);
+  } else {
+    store<std::uint32_t>(wire, 4, length);
+  }
+  return write_full_deadline(fd, ByteSpan(wire, request_bytes(version)),
+                             packet, io_timeout_ms);
+}
+
+bool read_request(int fd, int version, Request& request) {
+  std::uint8_t wire[12];
+  if (!read_full(fd, wire, request_bytes(version))) return false;
+  request.timeout_ms = load<std::uint32_t>(wire, 0);
+  request.control = version >= 2 ? load<std::uint32_t>(wire, 4) : 0;
+  request.length = load<std::uint32_t>(wire, version >= 2 ? 8 : 4);
+  return true;
+}
+
+bool write_reply(int fd, int version, const Reply& reply) {
+  std::uint8_t wire[12];
+  store<std::int32_t>(wire, 0, reply.wstatus);
+  if (version >= 2) {
+    store<std::uint32_t>(wire, 4, reply.flags);
+    store<std::uint32_t>(wire, 8, reply.iteration);
+  } else {
+    wire[4] = (reply.flags & kReplyTimedOut) != 0 ? 1 : 0;
+  }
+  return write_full(fd, wire, reply_bytes(version));
+}
+
+ReadStatus read_reply(int fd, int version, Reply& reply, int timeout_ms) {
+  std::uint8_t wire[12];
+  const ReadStatus status =
+      read_full_deadline(fd, wire, reply_bytes(version), timeout_ms);
+  if (status != ReadStatus::kOk) return status;
+  reply.wstatus = load<std::int32_t>(wire, 0);
+  if (version >= 2) {
+    reply.flags = load<std::uint32_t>(wire, 4);
+    reply.iteration = load<std::uint32_t>(wire, 8);
+  } else {
+    reply.flags = wire[4] != 0 ? kReplyTimedOut : 0;
+    reply.iteration = 0;
+  }
+  return ReadStatus::kOk;
 }
 
 }  // namespace icsfuzz::oop

@@ -260,4 +260,38 @@ ReadStatus read_full_deadline(int fd, void* data, std::size_t size,
 ReadStatus write_full_deadline(int fd, const void* data, std::size_t size,
                                int timeout_ms);
 
+// -- Requests and replies: each crosses its pipe in ONE write, so the peer
+// wakes once per message instead of once per field. The bytes are exactly
+// the v1/v2 formats described at the top of this file.
+
+/// One request header; `control` is 0 for (and not sent to) a v1 server.
+struct Request {
+  std::uint32_t timeout_ms = 0;
+  std::uint32_t control = 0;
+  std::uint32_t length = 0;  ///< bytes of packet that follow
+};
+
+/// Client side: sends the `version` header for `packet` followed by the
+/// packet, gathered into one writev on the non-blocking request pipe.
+ReadStatus write_request(int fd, int version, std::uint32_t timeout_ms,
+                         std::uint32_t control, ByteSpan packet,
+                         int io_timeout_ms);
+
+/// Shim side: reads one `version` request header; false on EOF or error.
+bool read_request(int fd, int version, Request& request);
+
+/// One reply; a v1 reply carries only the kReplyTimedOut flag.
+struct Reply {
+  std::int32_t wstatus = 0;
+  std::uint32_t flags = 0;
+  std::uint32_t iteration = 0;
+};
+
+/// Shim side: sends `reply` in the `version` wire format with one write.
+bool write_reply(int fd, int version, const Reply& reply);
+
+/// Client side: reads one whole `version` reply; status as
+/// read_full_deadline.
+ReadStatus read_reply(int fd, int version, Reply& reply, int timeout_ms);
+
 }  // namespace icsfuzz::oop

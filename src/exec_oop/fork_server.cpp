@@ -237,8 +237,8 @@ ForkServer::RunOutcome::Kind ForkServer::classify_server_gone() {
   return last_failure_;
 }
 
-bool ForkServer::write_request(std::uint32_t control, ByteSpan packet,
-                               int timeout_ms, int io_deadline_ms) {
+bool ForkServer::send_request(std::uint32_t control, ByteSpan packet,
+                              int timeout_ms, int io_deadline_ms) {
   if (!running()) {
     // Keep last_failure_ as classify_server_gone() left it: a caller that
     // races a just-retired server still sees kServerExited, not a loss.
@@ -251,23 +251,8 @@ bool ForkServer::write_request(std::uint32_t control, ByteSpan packet,
   // out of wall-clock limits).
   const std::uint32_t wire_timeout =
       timeout_ms <= 0 ? 0 : static_cast<std::uint32_t>(timeout_ms);
-  const std::uint32_t length = static_cast<std::uint32_t>(packet.size());
-
-  ReadStatus status = write_full_deadline(ctl_fd_, &wire_timeout,
-                                          sizeof(wire_timeout),
-                                          io_deadline_ms);
-  if (status == ReadStatus::kOk && version_ >= 2) {
-    status = write_full_deadline(ctl_fd_, &control, sizeof(control),
-                                 io_deadline_ms);
-  }
-  if (status == ReadStatus::kOk) {
-    status = write_full_deadline(ctl_fd_, &length, sizeof(length),
-                                 io_deadline_ms);
-  }
-  if (status == ReadStatus::kOk && length != 0) {
-    status = write_full_deadline(ctl_fd_, packet.data(), length,
-                                 io_deadline_ms);
-  }
+  const ReadStatus status = oop::write_request(
+      ctl_fd_, version_, wire_timeout, control, packet, io_deadline_ms);
   if (status != ReadStatus::kOk) {
     if (status == ReadStatus::kTimeout) {
       error_ = "fork server stopped draining the request pipe";
@@ -282,7 +267,7 @@ bool ForkServer::write_request(std::uint32_t control, ByteSpan packet,
 }
 
 bool ForkServer::submit(std::uint32_t control, int timeout_ms) {
-  return write_request(control, {}, timeout_ms, io_deadline_for(timeout_ms));
+  return send_request(control, {}, timeout_ms, io_deadline_for(timeout_ms));
 }
 
 ForkServer::RunOutcome ForkServer::await_reply(int io_deadline_ms) {
@@ -297,27 +282,8 @@ ForkServer::RunOutcome ForkServer::await_reply(int io_deadline_ms) {
   // to catch the server itself wedging, so it gets a generous grace
   // margin on top of the exec budget and expiry means server-gone, never
   // a hang verdict.
-  std::int32_t wstatus = 0;
-  std::uint32_t flags = 0;
-  ReadStatus status =
-      read_full_deadline(st_fd_, &wstatus, sizeof(wstatus), io_deadline_ms);
-  if (version_ >= 2) {
-    if (status == ReadStatus::kOk) {
-      status = read_full_deadline(st_fd_, &flags, sizeof(flags),
-                                  io_deadline_ms);
-    }
-    if (status == ReadStatus::kOk) {
-      status = read_full_deadline(st_fd_, &outcome.iteration,
-                                  sizeof(outcome.iteration), io_deadline_ms);
-    }
-  } else {
-    std::uint8_t timed_out = 0;
-    if (status == ReadStatus::kOk) {
-      status = read_full_deadline(st_fd_, &timed_out, sizeof(timed_out),
-                                  io_deadline_ms);
-    }
-    if (timed_out != 0) flags |= kReplyTimedOut;
-  }
+  Reply reply;
+  const ReadStatus status = read_reply(st_fd_, version_, reply, io_deadline_ms);
   if (status != ReadStatus::kOk) {
     error_ = "fork server died mid-execution";
     outcome.kind = status == ReadStatus::kClosed
@@ -326,6 +292,9 @@ ForkServer::RunOutcome ForkServer::await_reply(int io_deadline_ms) {
     return outcome;
   }
 
+  const std::int32_t wstatus = reply.wstatus;
+  const std::uint32_t flags = reply.flags;
+  outcome.iteration = reply.iteration;
   outcome.persistent = (flags & kReplyPersistent) != 0;
   outcome.recycled = (flags & kReplyChildRecycled) != 0
                          ? reply_recycle_reason(flags)
@@ -345,7 +314,7 @@ ForkServer::RunOutcome ForkServer::await_reply(int io_deadline_ms) {
 
 ForkServer::RunOutcome ForkServer::run(ByteSpan packet, int timeout_ms) {
   const int io_deadline_ms = io_deadline_for(timeout_ms);
-  if (!write_request(0, packet, timeout_ms, io_deadline_ms)) {
+  if (!send_request(0, packet, timeout_ms, io_deadline_ms)) {
     RunOutcome outcome;
     outcome.kind = last_failure_;
     return outcome;
@@ -356,7 +325,7 @@ ForkServer::RunOutcome ForkServer::run(ByteSpan packet, int timeout_ms) {
 ForkServer::RunOutcome ForkServer::run_persistent(std::uint32_t control,
                                                   int timeout_ms) {
   const int io_deadline_ms = io_deadline_for(timeout_ms);
-  if (!write_request(control, {}, timeout_ms, io_deadline_ms)) {
+  if (!send_request(control, {}, timeout_ms, io_deadline_ms)) {
     RunOutcome outcome;
     outcome.kind = last_failure_;
     return outcome;

@@ -121,8 +121,8 @@ class ForkServer {
  private:
   /// Writes one request ([timeout][control?][len][packet]) in the
   /// negotiated wire format; classifies the server on failure.
-  bool write_request(std::uint32_t control, ByteSpan packet, int timeout_ms,
-                     int io_deadline_ms);
+  bool send_request(std::uint32_t control, ByteSpan packet, int timeout_ms,
+                    int io_deadline_ms);
 
   /// EOF/EPIPE on a pipe: decides kServerExited (reaped, exit status 0)
   /// vs kServerLost, updating last_failure_ and reaping an orderly exit.

@@ -294,16 +294,16 @@ int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan) {
   Bytes packet;
   PersistentChild persistent;
   std::uint64_t exec_index = 0;
+  const int version = v2 ? 2 : 1;
   for (;;) {
-    std::uint32_t timeout_ms = 0;
-    std::uint32_t control = 0;
-    std::uint32_t length = 0;
-    if (!read_full(kCtlFd, &timeout_ms, sizeof(timeout_ms))) {
+    Request request;
+    if (!read_request(kCtlFd, version, request)) {
       kill_persistent_child(persistent);
       return 0;  // EOF: clean shutdown
     }
-    if (v2 && !read_full(kCtlFd, &control, sizeof(control))) return 0;
-    if (!read_full(kCtlFd, &length, sizeof(length))) return 0;
+    const std::uint32_t timeout_ms = request.timeout_ms;
+    const std::uint32_t control = request.control;
+    const std::uint32_t length = request.length;
     packet.resize(length);
     if (length != 0 && !read_full(kCtlFd, packet.data(), length)) return 0;
 
@@ -405,16 +405,8 @@ int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan) {
       if (timed_out) flags |= kReplyTimedOut;
     }
 
-    if (v2) {
-      if (!write_full(kStFd, &wire_status, sizeof(wire_status))) return 6;
-      if (!write_full(kStFd, &flags, sizeof(flags))) return 6;
-      if (!write_full(kStFd, &iteration, sizeof(iteration))) return 6;
-    } else {
-      const std::uint8_t wire_timed_out = timed_out ? 1 : 0;
-      if (!write_full(kStFd, &wire_status, sizeof(wire_status))) return 6;
-      if (!write_full(kStFd, &wire_timed_out, sizeof(wire_timed_out))) {
-        return 6;
-      }
+    if (!write_reply(kStFd, version, Reply{wire_status, flags, iteration})) {
+      return 6;
     }
 
     if (plan.server_retire_after != 0 &&

@@ -436,16 +436,16 @@ bool fork_server_loop() {
   std::vector<std::uint8_t> packet;
   PersistentParent persistent;
   std::uint64_t exec_index = 0;
+  const int version = v2 ? 2 : 1;
   for (;;) {
-    std::uint32_t timeout_ms = 0;
-    std::uint32_t control = 0;
-    std::uint32_t length = 0;
-    if (!oop::read_full(kCtlFd, &timeout_ms, sizeof(timeout_ms))) {
+    oop::Request request;
+    if (!oop::read_request(kCtlFd, version, request)) {
       kill_persistent_child(persistent);
       ::_exit(0);  // EOF: orderly shutdown, target's main never runs here
     }
-    if (v2 && !oop::read_full(kCtlFd, &control, sizeof(control))) ::_exit(0);
-    if (!oop::read_full(kCtlFd, &length, sizeof(length))) ::_exit(0);
+    const std::uint32_t timeout_ms = request.timeout_ms;
+    const std::uint32_t control = request.control;
+    const std::uint32_t length = request.length;
     if (length > kMaxSegmentBytes) ::_exit(5);
     packet.resize(length);
     if (length != 0 && !oop::read_full(kCtlFd, packet.data(), length)) {
@@ -546,20 +546,9 @@ bool fork_server_loop() {
       if (timed_out) flags |= oop::kReplyTimedOut;
     }
 
-    if (v2) {
-      if (!oop::write_full(kStFd, &wire_status, sizeof(wire_status))) {
-        ::_exit(6);
-      }
-      if (!oop::write_full(kStFd, &flags, sizeof(flags))) ::_exit(6);
-      if (!oop::write_full(kStFd, &iteration, sizeof(iteration))) ::_exit(6);
-    } else {
-      const std::uint8_t wire_timed_out = timed_out ? 1 : 0;
-      if (!oop::write_full(kStFd, &wire_status, sizeof(wire_status))) {
-        ::_exit(6);
-      }
-      if (!oop::write_full(kStFd, &wire_timed_out, sizeof(wire_timed_out))) {
-        ::_exit(6);
-      }
+    if (!oop::write_reply(kStFd, version,
+                          oop::Reply{wire_status, flags, iteration})) {
+      ::_exit(6);
     }
   }
 }

@@ -121,9 +121,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
         ::shutdown(conn, SHUT_WR);
         wrote_shutdown = true;
       }
-      if (!wait_counter(
-              [&] { return sync_load_served(segment_.data()); },
-              base_served + i + 1, deadline)) {
+      if (!sync_wait_served(segment_.data(), base_served + i + 1, deadline)) {
         close_abortive(conn);
         stop_server(/*orderly=*/false);
         return fail(map, result, san::FaultKind::Hang, "tcp-session-deadline",
@@ -145,9 +143,8 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
       }
     }
     if (!wrote_shutdown) ::shutdown(conn, SHUT_WR);
-    if (!wait_counter(
-            [&] { return sync_load_sessions_done(segment_.data()); },
-            sessions_seen_ + 1, deadline)) {
+    if (!sync_wait_sessions_done(segment_.data(), sessions_seen_ + 1,
+                                 deadline)) {
       close_abortive(conn);
       stop_server(/*orderly=*/false);
       return fail(map, result, san::FaultKind::Hang, "tcp-session-deadline",
@@ -238,21 +235,6 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     if (deadline == 0) return -1;
     const std::uint64_t now = monotonic_ms();
     return now >= deadline ? 0 : static_cast<int>(deadline - now);
-  }
-
-  /// Polls a shm counter up to the deadline: a short busy-spin for the
-  /// common sub-millisecond reply, then a sleeping loop.
-  template <typename Load>
-  bool wait_counter(Load load, std::uint64_t expected,
-                    std::uint64_t deadline) {
-    for (int spin = 0; spin < 4096; ++spin) {
-      if (load() >= expected) return true;
-    }
-    while (deadline == 0 || monotonic_ms() < deadline) {
-      if (load() >= expected) return true;
-      ::usleep(100);
-    }
-    return load() >= expected;
   }
 
   bool ensure_server() {
@@ -406,8 +388,11 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     return fd;
   }
 
-  /// RST close (SO_LINGER 0): one connection per session must not pile up
-  /// TIME_WAIT entries at campaign execution rates.
+  /// RST close (SO_LINGER 0). It does not keep TIME_WAIT entries from
+  /// piling up on a completed session: the client half-closes first, so
+  /// the server's FIN arrives while this socket is in FIN_WAIT_2 and moves
+  /// it to TIME_WAIT before the close runs. Only a session torn down
+  /// mid-exchange (deadline, lost server) really ends in a RST.
   static void close_abortive(int fd) {
     struct linger lg {1, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);

@@ -3,11 +3,12 @@
 #include <signal.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -162,48 +163,55 @@ SupervisorResult CampaignSupervisor::run() {
   while (completed < total && g_stop_requested == 0) {
     const std::uint64_t chunk_end = std::min(total, completed + chunk_size);
 
-    // All workers on spawned threads; this thread runs the watchdog.
+    // All workers on spawned threads; this thread runs the watchdog. A
+    // worker finishing its range notifies `chunk_cv`, so the watchdog
+    // returns as soon as the chunk is done instead of at its next poll.
     const std::size_t n = workers.size();
-    std::unique_ptr<std::atomic<bool>[]> done(new std::atomic<bool>[n]);
-    for (std::size_t w = 0; w < n; ++w) done[w].store(false);
+    std::mutex chunk_mutex;
+    std::condition_variable chunk_cv;
+    std::vector<bool> done(n, false);
+    std::size_t running = n;
     std::vector<std::thread> threads;
     threads.reserve(n);
     for (std::size_t w = 0; w < n; ++w) {
       threads.emplace_back([&, w] {
         workers[w]->run_range(completed, chunk_end, total);
-        done[w].store(true, std::memory_order_release);
+        {
+          const std::lock_guard<std::mutex> lock(chunk_mutex);
+          done[w] = true;
+          --running;
+        }
+        chunk_cv.notify_one();
       });
     }
 
+    using Clock = std::chrono::steady_clock;
     std::vector<std::uint64_t> last_progress(n, 0);
-    std::vector<int> stalled_ms(n, 0);
+    std::vector<Clock::time_point> last_change(n, Clock::now());
     std::vector<int> kicks(n, 0);
     for (std::size_t w = 0; w < n; ++w) {
       last_progress[w] = workers[w]->progress();
     }
-    const int poll_ms = config_.watchdog_poll_ms > 0 ? config_.watchdog_poll_ms
-                                                     : 200;
+    const auto poll = std::chrono::milliseconds(
+        config_.watchdog_poll_ms > 0 ? config_.watchdog_poll_ms : 200);
+    const auto wedge = std::chrono::milliseconds(config_.wedge_timeout_ms);
+    std::unique_lock<std::mutex> lock(chunk_mutex);
     for (;;) {
-      bool all_done = true;
+      // Woken by a finishing worker or by the poll timeout; either way
+      // the stall clock below is real elapsed time, not counted polls.
+      chunk_cv.wait_for(lock, poll, [&] { return running == 0; });
+      if (running == 0) break;
+      const Clock::time_point now = Clock::now();
       for (std::size_t w = 0; w < n; ++w) {
-        if (!done[w].load(std::memory_order_acquire)) {
-          all_done = false;
-          break;
-        }
-      }
-      if (all_done) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-      for (std::size_t w = 0; w < n; ++w) {
-        if (done[w].load(std::memory_order_acquire)) continue;
+        if (done[w]) continue;
         const std::uint64_t progress = workers[w]->progress();
         if (progress != last_progress[w]) {
           last_progress[w] = progress;
-          stalled_ms[w] = 0;
+          last_change[w] = now;
           continue;
         }
-        stalled_ms[w] += poll_ms;
-        if (stalled_ms[w] < config_.wedge_timeout_ms) continue;
-        stalled_ms[w] = 0;
+        if (now - last_change[w] < wedge) continue;
+        last_change[w] = now;
         if (kicks[w] >= config_.max_watchdog_kicks) continue;
         ++kicks[w];
         ++result.watchdog_kicks;
@@ -217,6 +225,7 @@ SupervisorResult CampaignSupervisor::run() {
         }
       }
     }
+    lock.unlock();
     for (std::thread& thread : threads) thread.join();
 
     completed = chunk_end;

@@ -49,7 +49,9 @@ struct SupervisorConfig {
   bool resume = true;
   /// Worker heartbeat: no progress for this long marks a worker wedged.
   int wedge_timeout_ms = 30000;
-  /// Watchdog poll period.
+  /// Watchdog poll period: the longest the supervisor sleeps between
+  /// heartbeat checks. A finishing chunk wakes it at once, so this bounds
+  /// wedge-detection latency, not chunk turnaround.
   int watchdog_poll_ms = 200;
   /// Remediation budget per worker per chunk; beyond it the supervisor
   /// stops kicking and waits (a kick cycle that does not unwedge the

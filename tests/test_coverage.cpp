@@ -63,6 +63,25 @@ TEST(Instrument, BlockIdsAreMasked) {
   SUCCEED();
 }
 
+// Expands on a single line, so its __LINE__ is the block's and its own
+// __COUNTER__ is one below the one ICSFUZZ_COV_BLOCK() consumes.
+#define HIT_BLOCK_EXPECTING(file, id)                                     \
+  id = fnv1a(file, static_cast<std::uint32_t>(__LINE__ * 977u +          \
+                                              (__COUNTER__ + 1)));        \
+  ICSFUZZ_COV_BLOCK()
+
+TEST(Instrument, BlockIdsHashTheRepoRelativeFileName) {
+  // The build maps the checkout prefix away, so a block id does not
+  // depend on the directory the sources were built in.
+  EXPECT_STREQ(__FILE__, "tests/test_coverage.cpp");
+  std::vector<std::uint8_t> map(kMapSize, 0);
+  begin_trace(map.data());
+  std::uint32_t id = 0;
+  HIT_BLOCK_EXPECTING("tests/test_coverage.cpp", id);
+  end_trace();
+  EXPECT_EQ(map[id & (kMapSize - 1)], 1);
+}
+
 TEST(Instrument, Fnv1aDistinctForDifferentSeeds) {
   constexpr std::uint32_t a = fnv1a("file.cpp", 1);
   constexpr std::uint32_t b = fnv1a("file.cpp", 2);

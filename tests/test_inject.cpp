@@ -20,8 +20,10 @@
 // via ICSFUZZ_DEMO_SERVER / ICSFUZZ_DEMO_SERVER_PLAIN env vars.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "fuzzer/executor.hpp"
 #include "inject/inject_protocol.hpp"
 #include "protocols/target_registry.hpp"
+#include "session/framing.hpp"
 #include "tests/test_support.hpp"
 
 namespace icsfuzz {
@@ -296,6 +299,83 @@ TEST(InjectDifferential, OomClassificationMatchesShim) {
   }
   ASSERT_TRUE(demo.crashed());
   expect_same_classification(demo, shim);
+}
+
+// -- TCP interposition mode: the demo's own --serve loop as a session
+// target. ------------------------------------------------------------------
+
+fuzz::ExecutorConfig demo_tcp_config(int timeout_ms) {
+  fuzz::ExecutorConfig config;
+  config.backend.kind = fuzz::BackendKind::kTcp;
+  config.backend.target_cmd = demo_cmd();
+  config.backend.target_cmd.push_back("--serve");
+  config.backend.preload = preload_path();
+  config.backend.exec_timeout_ms = timeout_ms;
+  config.backend.session.framing = session::Framing::kMbap;
+  return config;
+}
+
+Bytes concat(std::initializer_list<Bytes> frames) {
+  Bytes stream;
+  for (const Bytes& frame : frames) {
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  return stream;
+}
+
+TEST(InjectTcp, BenignSessionsCompleteWithoutWaitingForTheDeadline) {
+  // The interposed write() publishes each response through the sync
+  // block, whose futex wake ends the client's wait. Were the wake missing,
+  // every message would sit out the whole deadline and turn into a Hang.
+  constexpr int kDeadlineMs = 10000;
+  fuzz::Executor executor(demo_tcp_config(kDeadlineMs));
+  const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("libmodbus")();
+  const Bytes stream = concat({kBenign, kBenignCoils});
+
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 4; ++i) {
+    const fuzz::ExecResult& result = executor.run(*placeholder, stream);
+    EXPECT_TRUE(result.faults.empty())
+        << "session " << i << ": " << result.faults.front().detail;
+    EXPECT_EQ(result.session_messages, 2u) << "session " << i;
+    EXPECT_FALSE(result.response.empty()) << "session " << i;
+    EXPECT_GT(result.events, 0u) << "session " << i;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(kDeadlineMs / 2));
+}
+
+TEST(InjectTcp, SilentMessageEndsInDeadlineHangAndRespawns) {
+  // FC 0x67 makes the demo pause forever mid-session: nothing is written,
+  // so nothing is published, and only the session deadline ends the wait.
+  constexpr int kDeadlineMs = 500;
+  fuzz::Executor executor(demo_tcp_config(kDeadlineMs));
+  const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("libmodbus")();
+
+  const fuzz::ExecResult first = executor.run(*placeholder, kBenign);
+  ASSERT_TRUE(first.faults.empty()) << first.faults.front().detail;
+
+  const auto start = std::chrono::steady_clock::now();
+  const fuzz::ExecResult hang =
+      executor.run(*placeholder, concat({kBenign, fault_frame(kFaultHang)}));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_EQ(hang.faults.size(), 1u);
+  EXPECT_EQ(hang.faults[0].kind, san::FaultKind::Hang);
+  EXPECT_EQ(hang.faults[0].site, san::site_id("tcp-session-deadline"));
+  // The deadline is kept in whole milliseconds, so it may fall up to 1 ms
+  // short of kDeadlineMs after the clock read that started it.
+  EXPECT_GE(elapsed, std::chrono::milliseconds(kDeadlineMs - 1));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kDeadlineMs + 10000));
+
+  // A fresh server answers the benign session exactly as the first one
+  // did. (Not the trace hash: trace-pc edge ids follow the load address,
+  // which a respawned process gets anew.)
+  const fuzz::ExecResult again = executor.run(*placeholder, kBenign);
+  ASSERT_TRUE(again.faults.empty()) << again.faults.front().detail;
+  EXPECT_EQ(again.response, first.response);
+  EXPECT_EQ(again.events, first.events);
 }
 
 }  // namespace

@@ -27,6 +27,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <memory>
@@ -318,6 +320,69 @@ TEST(SessionDifferential, FixedSeedCampaignTrajectoryIdenticalOverTcp) {
   EXPECT_EQ(in_proc.session_states, tcp.session_states);
   EXPECT_EQ(in_proc.accumulated, tcp.accumulated);
   EXPECT_GT(in_proc.session_states.size(), 0u);
+}
+
+TEST(SessionDeadline, SilentServerHangsThenRespawnedServerMatchesInProcess) {
+  // A test-local server that says hello and then never publishes: the
+  // announced port belongs to a listener here that nobody accepts on, so
+  // the session's first message waits for a served count that never
+  // comes. The script leaves a marker, so the respawn after the Hang
+  // execs the real shim and the next session must match in-process.
+  // (/dev/fd paths, because a POSIX sh only redirects descriptors 0-9.)
+  constexpr int kDeadlineMs = 500;
+  std::uint16_t port = 0;
+  const int listener = test::bind_ephemeral_loopback(port);
+  ASSERT_GE(listener, 0);
+  const std::string marker = "/tmp/icsfuzz-silent-server-" +
+                             std::to_string(::getpid());
+  ::unlink(marker.c_str());
+  char hello[64];
+  std::snprintf(hello, sizeof hello,
+                "\\124\\123\\103\\111\\%03o\\%03o\\000\\000",
+                static_cast<unsigned>(port & 0xFF),
+                static_cast<unsigned>(port >> 8));  // magic, then the port
+  static_assert(oop::kTcpHelloMagic == 0x49435354);
+  const std::string script =
+      "if [ -e " + marker + " ]; then exec " ICSFUZZ_SHIM_PATH
+      " --project IEC104 --tcp; fi; : > " + marker + "; printf '" + hello +
+      "' > /dev/fd/" + std::to_string(oop::kStFd) + "; exec cat /dev/fd/" +
+      std::to_string(oop::kCtlFd) + " > /dev/null";
+
+  fuzz::ExecutorConfig config = session_executor_config(
+      "IEC104", fuzz::BackendKind::kTcp, /*record_traffic=*/true);
+  config.backend.target_cmd = {"/bin/sh", "-c", script};
+  config.backend.exec_timeout_ms = kDeadlineMs;
+  fuzz::Executor tcp(std::move(config));
+  fuzz::Executor in_proc(session_executor_config(
+      "IEC104", fuzz::BackendKind::kInProcess, /*record_traffic=*/true));
+  const auto factory = proto::target_factory("IEC104");
+  std::unique_ptr<ProtocolTarget> in_proc_target = factory();
+  std::unique_ptr<ProtocolTarget> placeholder = factory();
+  Bytes stream = kStartDtAct;
+  stream.insert(stream.end(), kInterrogation.begin(), kInterrogation.end());
+  const ByteSpan packet(stream.data(), stream.size());
+
+  const auto start = std::chrono::steady_clock::now();
+  const fuzz::ExecResult hang = tcp.run(*placeholder, packet);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_EQ(hang.faults.size(), 1u);
+  EXPECT_EQ(hang.faults[0].kind, san::FaultKind::Hang)
+      << hang.faults[0].detail;
+  EXPECT_EQ(hang.faults[0].site, san::site_id("tcp-session-deadline"));
+  // The deadline is kept in whole milliseconds, so it may fall up to 1 ms
+  // short of kDeadlineMs after the clock read that started it.
+  EXPECT_GE(elapsed, std::chrono::milliseconds(kDeadlineMs - 1));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kDeadlineMs + 10000));
+
+  const fuzz::ExecResult in_proc_result = in_proc.run(*in_proc_target, packet);
+  const fuzz::ExecResult& tcp_result = tcp.run(*placeholder, packet);
+  expect_results_equal(in_proc_result, tcp_result, 0);
+  expect_traffic_equal(in_proc.backend().traffic(), tcp.backend().traffic(),
+                       0);
+  EXPECT_GT(tcp_result.session_states.size(), 1u);
+
+  ::close(listener);
+  ::unlink(marker.c_str());
 }
 
 #endif  // ICSFUZZ_SHIM_PATH

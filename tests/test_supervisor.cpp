@@ -225,6 +225,37 @@ TEST(Supervisor, MultiWorkerCampaignCompletesWithPeriodicCheckpoints) {
   EXPECT_TRUE(fs::exists(config.checkpoint_path));
 }
 
+TEST(Supervisor, ChunkCompletionWakesTheWatchdogBeforeItsPoll) {
+  // Four chunks under a one-minute poll: a supervisor that only noticed a
+  // finished chunk at its next poll would need four minutes. The chunk's
+  // last worker wakes it instead, so the whole campaign takes a small
+  // fraction of one poll (the bound is loose so a loaded runner cannot
+  // flake it).
+  const model::DataModelSet models = pits::modbus_pit();
+  const ScopedTempDir dir("icsfuzz-supervisor-wake");
+
+  supervise::SupervisorConfig config;
+  config.campaign.workers = 2;
+  config.campaign.iterations_per_worker = 400;
+  config.campaign.base_seed = 13;
+  config.campaign.sync_interval = 100;
+  config.campaign.fuzzer = small_config(0);
+  config.checkpoint_path = (dir.path() / "campaign.ckpt").string();
+  config.checkpoint_interval = 100;  // four chunks
+  config.watchdog_poll_ms = 60000;
+
+  supervise::CampaignSupervisor supervisor(modbus_factory(), models, config);
+  const auto start = std::chrono::steady_clock::now();
+  const supervise::SupervisorResult result = supervisor.run();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_FALSE(result.interrupted);
+  EXPECT_EQ(result.completed_iterations, 400u);
+  EXPECT_EQ(result.checkpoints_saved, 4u);
+  EXPECT_EQ(result.watchdog_kicks, 0u);
+  EXPECT_LT(elapsed, std::chrono::seconds(30));
+}
+
 TEST(Supervisor, GracefulStopCheckpointsAndResumeFinishesBitForBit) {
   const model::DataModelSet models = pits::modbus_pit();
   const ScopedTempDir dir("icsfuzz-supervisor-stop");
