@@ -1,6 +1,7 @@
 #include "exec_oop/exec_protocol.hpp"
 
 #include <poll.h>
+#include <signal.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -177,6 +178,16 @@ bool write_full(int fd, const void* data, std::size_t size) {
     written += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+void ignore_sigpipe_once() {
+  static const bool done = [] {
+    struct sigaction action {};
+    action.sa_handler = SIG_IGN;
+    ::sigaction(SIGPIPE, &action, nullptr);
+    return true;
+  }();
+  (void)done;
 }
 
 bool read_full(int fd, void* data, std::size_t size) {

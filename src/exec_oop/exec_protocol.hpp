@@ -95,12 +95,20 @@ inline constexpr std::uint32_t kCapPersistent = 1u << 0;
 
 /// TCP session-server hello magic ("ICST"), written by a shim started in
 /// `--tcp` mode (session/tcp_server.hpp) instead of the fork-server hellos
-/// above, followed by [u32 port]: the loopback port the session server
-/// accepts connections on. The segment then carries one extra sync block
-/// after the v1 region (session/session_wire.hpp documents the geometry);
-/// executions travel over the socket, not the control pipe — the pipe's
-/// only remaining job is EOF-triggered shutdown.
+/// above, followed by [u32 port | caps]: the loopback port the session
+/// server accepts connections on in the low 16 bits, capability bits in the
+/// high 16. The segment then carries one extra sync block after the v1
+/// region (session/session_wire.hpp documents the geometry); session bytes
+/// travel over the socket, never over the control pipe.
 inline constexpr std::uint32_t kTcpHelloMagic = 0x49435354;
+
+/// TCP hello capability: the server accepts ONE connection for its whole
+/// lifetime and delimits sessions by a [u32 stream_len] header the client
+/// writes on the control pipe before each session's bytes (EOF in place of
+/// a header is the orderly shutdown). Without it, every session is its own
+/// connection, ended by the client's half-close, and the control pipe's
+/// only job is EOF-triggered shutdown.
+inline constexpr std::uint32_t kTcpCapKeepConnection = 1u << 16;
 
 /// Aux-block completion magic ("OOP!"), stored last by the child.
 inline constexpr std::uint32_t kAuxCompleteMagic = 0x4F4F5021;
@@ -241,6 +249,11 @@ bool aux_load(const std::uint8_t* aux, std::size_t aux_size, AuxResult& out);
 
 /// Writes exactly `size` bytes; false on error/EPIPE (server gone).
 bool write_full(int fd, const void* data, std::size_t size);
+
+/// Sets SIGPIPE to ignored, once per process, so a dead server surfaces as
+/// EPIPE on the client's next pipe write instead of killing the fuzzer —
+/// the same disposition AFL-style frontends set up.
+void ignore_sigpipe_once();
 
 /// Reads exactly `size` bytes; false on error or EOF.
 bool read_full(int fd, void* data, std::size_t size);

@@ -18,19 +18,6 @@ namespace icsfuzz::oop {
 
 namespace {
 
-/// A dead server must surface as EPIPE on the next write, not kill the
-/// fuzzer with SIGPIPE. Installed once, process-wide, on first spawn —
-/// the same disposition AFL-style frontends set up.
-void ignore_sigpipe_once() {
-  static const bool done = [] {
-    struct sigaction action {};
-    action.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &action, nullptr);
-    return true;
-  }();
-  (void)done;
-}
-
 /// Resolves a bare command name through PATH *before* fork: the post-fork
 /// child is restricted to async-signal-safe calls, which rules out
 /// execvp's PATH walk (it may allocate). Returns the command unchanged

@@ -161,8 +161,6 @@ void Fuzzer::next_packet_into(const model::DataModel*& used_model,
   }
 }
 
-ExecResult Fuzzer::step() { return step_fast(); }
-
 const ExecResult& Fuzzer::step_fast() {
   const telem::Sink& telemetry = config_.telemetry;
   const model::DataModel* used_model = nullptr;

@@ -137,14 +137,10 @@ class Fuzzer {
   void run(std::uint64_t iterations,
            const std::function<void(const ExecResult&)>& on_exec = {});
 
-  /// Runs a single fuzzing iteration; returns the execution's result.
-  ExecResult step();
-
-  /// Hot-path variant of step(): the returned reference points at internal
-  /// scratch reused every iteration (valid until the next step), so the
-  /// steady-state loop performs no per-iteration heap allocations for the
-  /// packet, response or fault vectors. run() and the parallel workers use
-  /// this; step() wraps it with a copy.
+  /// Runs a single fuzzing iteration. The returned reference points at
+  /// internal scratch reused every iteration (valid until the next step),
+  /// so the steady-state loop performs no per-iteration heap allocations
+  /// for the packet, response or fault vectors.
   const ExecResult& step_fast();
 
   // -- Observers. --

@@ -28,8 +28,11 @@
 //                   (session/session_wire.hpp): hello with the real bound
 //                   port, per-session map arming at accept, a served
 //                   counter per response write, aux + session counter at
-//                   close. A watcher thread turns control-pipe EOF into
-//                   orderly shutdown.
+//                   close, which resets a connection the client has
+//                   half-closed (SO_LINGER 0) so the client keeps no
+//                   TIME_WAIT entry. One connection is one session: the
+//                   hello advertises no capability. A watcher thread turns
+//                   control-pipe EOF into orderly shutdown.
 //
 // Without ICSFUZZ_OOP_SHM in the environment the runtime is fully dormant
 // — every interposer forwards — so a binary can keep the preload in its
@@ -821,7 +824,19 @@ int close(int fd) {
   using namespace icsfuzz::inject_rt;
   static auto real =
       reinterpret_cast<int (*)(int)>(::dlsym(RTLD_NEXT, "close"));
-  if (g_tcp.active && fd >= 0 && fd == g_tcp.conn_fd) tcp_session_end();
+  if (g_tcp.active && fd >= 0 && fd == g_tcp.conn_fd) {
+    tcp_session_end();
+    // Once the client has half-closed (EOF pending), an orderly close here
+    // would send a FIN that leaves the client's socket in TIME_WAIT. Close
+    // with a RST instead: the session is published, nothing is left to
+    // say. A server closing mid-session keeps the orderly close, so the
+    // client's next send cannot fail on a reset and pass for a lost server.
+    char probe = 0;
+    if (::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT) == 0) {
+      struct linger lg {1, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+    }
+  }
   return real(fd);
 }
 

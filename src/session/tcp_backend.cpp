@@ -98,31 +98,40 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
             : 0;
     const std::uint64_t base_served = served_seen_;
 
-    const int conn = connect_deadline(deadline);
-    if (conn < 0) {
-      stop_server(/*orderly=*/false);
-      return fail(map, result, san::FaultKind::Segv, "tcp-server-lost",
-                  "tcp session connect failed: " + last_error_);
+    if (conn_ < 0) {
+      conn_ = connect_deadline(deadline);
+      if (conn_ < 0) {
+        stop_server(/*orderly=*/false);
+        return fail(map, result, san::FaultKind::Segv, "tcp-server-lost",
+                    "tcp session connect failed: " + last_error_);
+      }
+    }
+    if (keep_connection_) {
+      // The header announces the bytes this session will send: the end of
+      // the last range, because bytes past kMaxSessionStreamBytes never are.
+      const auto stream_len = static_cast<std::uint32_t>(
+          ranges_.empty() ? 0 : ranges_.back().offset + ranges_.back().length);
+      if (!oop::write_full(ctl_write_, &stream_len, sizeof stream_len)) {
+        stop_server(/*orderly=*/false);
+        return fail(map, result, san::FaultKind::Segv, "tcp-server-lost",
+                    "tcp session header write failed");
+      }
     }
 
-    bool wrote_shutdown = false;
     for (std::size_t i = 0; i < ranges_.size(); ++i) {
       const std::uint8_t* data = packet.data() + ranges_[i].offset;
       const std::size_t length = ranges_[i].length;
-      if (!send_full(conn, data, length)) {
-        close_abortive(conn);
+      if (!send_full(conn_, data, length)) {
         stop_server(/*orderly=*/false);
         return fail(map, result, san::FaultKind::Segv, "tcp-server-lost",
                     "tcp session send failed");
       }
-      if (i == residue_index) {
-        // The server can only complete the residue at EOF — half-close
-        // BEFORE waiting for its ack or the session deadlocks.
-        ::shutdown(conn, SHUT_WR);
-        wrote_shutdown = true;
+      if (!keep_connection_ && i == residue_index) {
+        // A per-connection server can only complete the residue at EOF —
+        // half-close BEFORE waiting for its ack or the session deadlocks.
+        ::shutdown(conn_, SHUT_WR);
       }
       if (!sync_wait_served(segment_.data(), base_served + i + 1, deadline)) {
-        close_abortive(conn);
         stop_server(/*orderly=*/false);
         return fail(map, result, san::FaultKind::Hang, "tcp-session-deadline",
                     "session exceeded the " +
@@ -133,26 +142,29 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
       Bytes& response = responses_[i];
       response.resize(len);
       if (len != 0 &&
-          oop::read_full_deadline(conn, response.data(), len,
+          oop::read_full_deadline(conn_, response.data(), len,
                                   remaining_ms(deadline)) !=
               oop::ReadStatus::kOk) {
-        close_abortive(conn);
         stop_server(/*orderly=*/false);
         return fail(map, result, san::FaultKind::Hang, "tcp-session-deadline",
                     "session response read missed the tcp deadline");
       }
     }
-    if (!wrote_shutdown) ::shutdown(conn, SHUT_WR);
+    if (!keep_connection_ && residue_index == ranges_.size()) {
+      ::shutdown(conn_, SHUT_WR);
+    }
     if (!sync_wait_sessions_done(segment_.data(), sessions_seen_ + 1,
                                  deadline)) {
-      close_abortive(conn);
       stop_server(/*orderly=*/false);
       return fail(map, result, san::FaultKind::Hang, "tcp-session-deadline",
                   "session completion missed the tcp deadline");
     }
     ++sessions_seen_;
     served_seen_ = base_served + ranges_.size();
-    close_abortive(conn);
+    if (!keep_connection_) {
+      close_abortive(conn_);
+      conn_ = -1;
+    }
 
     oop::AuxResult aux;
     if (!oop::aux_load(segment_.data() + oop::kAuxOffset, oop::kAuxBytes,
@@ -253,6 +265,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
       last_error_ = "no target_cmd configured";
       return false;
     }
+    oop::ignore_sigpipe_once();  // the session header crosses a pipe
     // Fresh server, fresh wire state: the sync counters restart at zero
     // with the new process, so the client's expectations must too.
     std::memset(segment_.data(), 0, kTcpSegmentBytes);
@@ -339,13 +352,13 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     if (oop::read_full_deadline(st_read_, hello, sizeof hello,
                                 handshake_timeout_ms_) !=
             oop::ReadStatus::kOk ||
-        hello[0] != oop::kTcpHelloMagic || hello[1] == 0 ||
-        hello[1] > 0xFFFF) {
+        hello[0] != oop::kTcpHelloMagic || (hello[1] & 0xFFFF) == 0) {
       last_error_ = "tcp session hello failed";
       stop_server(/*orderly=*/false);
       return false;
     }
-    port_ = static_cast<std::uint16_t>(hello[1]);
+    port_ = static_cast<std::uint16_t>(hello[1] & 0xFFFF);
+    keep_connection_ = (hello[1] & oop::kTcpCapKeepConnection) != 0;
     return true;
   }
 
@@ -388,11 +401,11 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     return fd;
   }
 
-  /// RST close (SO_LINGER 0). It does not keep TIME_WAIT entries from
-  /// piling up on a completed session: the client half-closes first, so
-  /// the server's FIN arrives while this socket is in FIN_WAIT_2 and moves
-  /// it to TIME_WAIT before the close runs. Only a session torn down
-  /// mid-exchange (deadline, lost server) really ends in a RST.
+  /// RST close (SO_LINGER 0): this side's own close never enters
+  /// TIME_WAIT. On the per-connection path the client half-closes first,
+  /// so a FIN from the server would still move this socket to TIME_WAIT
+  /// before the close runs; the injection runtime's close() resets the
+  /// stock server's end instead (docs/INJECTION.md).
   static void close_abortive(int fd) {
     struct linger lg {1, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);
@@ -400,8 +413,12 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
   }
 
   void stop_server(bool orderly) {
+    if (conn_ >= 0) {
+      close_abortive(conn_);
+      conn_ = -1;
+    }
     if (ctl_write_ >= 0) {
-      ::close(ctl_write_);  // EOF: the server's accept loop exits 0
+      ::close(ctl_write_);  // EOF: the server exits 0
       ctl_write_ = -1;
     }
     if (st_read_ >= 0) {
@@ -439,6 +456,10 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
   int ctl_write_ = -1;
   int st_read_ = -1;
   std::uint16_t port_ = 0;
+  /// The hello's kTcpCapKeepConnection: one connection for the server's
+  /// lifetime, sessions delimited by control-pipe headers.
+  bool keep_connection_ = false;
+  int conn_ = -1;
   std::uint64_t served_seen_ = 0;
   std::uint64_t sessions_seen_ = 0;
   std::uint64_t restarts_ = 0;

@@ -3,9 +3,13 @@
 //
 // Per execution: the session stream is split into its canonical message
 // list (framing.hpp — the same split the server's reassembler will
-// reproduce from the segmented TCP stream), one connection is opened
-// (one connection = one session), and each message is sent and its
-// response read back in lockstep through the session_wire.hpp sync block.
+// reproduce from the segmented TCP stream) and each message is sent and
+// its response read back in lockstep through the session_wire.hpp sync
+// block. A server whose hello carries kTcpCapKeepConnection (the in-tree
+// shim) keeps one connection for its lifetime, and each session starts
+// with a length header on the control pipe; against any other server
+// (a preloaded stock binary) one connection is one session, ended by the
+// client's half-close.
 // The server traces the whole session into the shared-memory map; the
 // client adopts it (CoverageMap::adopt_external), injects the
 // client-computed session-state cells, and runs the exact in-process

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -37,13 +38,16 @@ bool send_full(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-/// One accepted connection = one session. Reassembles the request stream,
-/// serves each message, and publishes progress; returns once the client
-/// half-closes (EOF) or the control pipe says shut down (`*shutdown`).
-void serve_session(ProtocolTarget& target, Framing framing, int conn,
-                   std::uint8_t* segment, cov::DirtyWordList& dirty,
-                   std::uint64_t& served, std::uint64_t& sessions,
-                   bool* shutdown) {
+/// One session: exactly the `stream_len` bytes its control-pipe header
+/// announced. Reassembles them, serves each message, and publishes
+/// progress; the reassembler sees those bytes and nothing more, so a torn
+/// frame at the end of one session is that session's residue and can never
+/// bleed into the next. False when the connection drops first: the client
+/// only tears it down on a failure, after which it respawns the server.
+bool serve_session(ProtocolTarget& target, Framing framing, int conn,
+                   std::size_t stream_len, std::uint8_t* segment,
+                   cov::DirtyWordList& dirty, std::uint64_t& served,
+                   std::uint64_t& sessions) {
   // Pristine per-session map state: sparse-clear the previous session's
   // dirty words, invalidate the aux magic so a torn-down session is never
   // mistaken for a completed one.
@@ -72,27 +76,17 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
 
   StreamReassembler reassembler(framing, serve_message);
   std::uint8_t chunk[4096];
-  for (;;) {
-    struct pollfd fds[2];
-    fds[0] = {conn, POLLIN, 0};
-    fds[1] = {oop::kCtlFd, POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if ((fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      *shutdown = true;  // client closed the control pipe mid-session
-      break;
-    }
-    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    const ssize_t got = ::read(conn, chunk, sizeof chunk);
+  while (stream_len != 0) {
+    const ssize_t got = ::read(conn, chunk, std::min(sizeof chunk, stream_len));
     if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) break;  // EOF (orderly end of session) or error
+    if (got <= 0) return false;
     reassembler.feed(ByteSpan(chunk, static_cast<std::size_t>(got)));
+    stream_len -= static_cast<std::size_t>(got);
   }
 
-  // End of stream: the residue — an incomplete tail, a malformed-header
-  // rest, or the post-cap raw tail — is the session's final message.
+  // End of the announced stream: the residue — an incomplete tail, a
+  // malformed-header rest, or the post-cap raw tail — is the session's
+  // final message.
   const ByteSpan residue = reassembler.finish();
   if (!residue.empty()) serve_message(residue);
 
@@ -102,6 +96,31 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
   san::FaultSink::disarm_into(result.faults);
   oop::aux_store(segment + oop::kAuxOffset, oop::kAuxBytes, result);
   sync_publish_session_done(segment, ++sessions);
+  return true;
+}
+
+/// Waits for the client's one connection. A header already on the control
+/// pipe means the client has connected (it writes the header after its
+/// connect completes), so the connection is in the backlog; a bare hangup
+/// is the shutdown of a client that never ran a session. Returns the
+/// connection, -1 on that shutdown, or -2 on a socket error.
+int accept_client(int listen_fd) {
+  for (;;) {
+    struct pollfd fds[2];
+    fds[0] = {listen_fd, POLLIN, 0};
+    fds[1] = {oop::kCtlFd, POLLIN, 0};
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      return -2;
+    }
+    if ((fds[0].revents & POLLIN) == 0 && (fds[1].revents & POLLIN) == 0) {
+      if ((fds[1].revents & (POLLHUP | POLLERR)) != 0) return -1;
+      continue;
+    }
+    const int conn = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+    if (conn >= 0) return conn;
+    if (errno != EINTR && errno != ECONNABORTED) return -2;
+  }
 }
 
 }  // namespace
@@ -141,13 +160,20 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing) {
     return 8;
   }
 
-  const std::uint32_t hello[2] = {oop::kTcpHelloMagic,
-                                  static_cast<std::uint32_t>(
-                                      ntohs(addr.sin_port))};
+  const std::uint32_t hello[2] = {
+      oop::kTcpHelloMagic,
+      static_cast<std::uint32_t>(ntohs(addr.sin_port)) |
+          oop::kTcpCapKeepConnection};
   if (!oop::write_full(oop::kStFd, hello, sizeof hello)) {
     ::close(listen_fd);
     return 4;
   }
+
+  const int conn = accept_client(listen_fd);
+  ::close(listen_fd);  // one connection per server lifetime
+  if (conn < 0) return conn == -1 ? 0 : 8;
+  const int nodelay = 1;
+  ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
 
   // The whole-map memset runs once; later sessions sparse-clear through
   // the dirty list (the begin_execution analogue).
@@ -157,34 +183,26 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing) {
   std::uint64_t served = 0;
   std::uint64_t sessions = 0;
 
+  int status = 0;
   for (;;) {
-    struct pollfd fds[2];
-    fds[0] = {listen_fd, POLLIN, 0};
-    fds[1] = {oop::kCtlFd, POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      ::close(listen_fd);
-      return 8;
+    std::uint32_t stream_len = 0;
+    // EOF in place of a header: orderly shutdown.
+    if (!oop::read_full(oop::kCtlFd, &stream_len, sizeof stream_len)) break;
+    // The header crosses a process boundary, so it gets the same distrust
+    // as the shm-size env: the client never announces more than the bytes
+    // either side will ever consider.
+    if (stream_len > kMaxSessionStreamBytes) {
+      status = 9;
+      break;
     }
-    if ((fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      ::close(listen_fd);  // control-pipe EOF: orderly shutdown
-      return 0;
-    }
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) continue;
-    const int nodelay = 1;
-    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
-
-    bool shutdown = false;
-    serve_session(target, framing, conn, segment.data(), dirty, served,
-                  sessions, &shutdown);
-    ::close(conn);
-    if (shutdown) {
-      ::close(listen_fd);
-      return 0;
+    if (!serve_session(target, framing, conn, stream_len, segment.data(),
+                       dirty, served, sessions)) {
+      status = 8;
+      break;
     }
   }
+  ::close(conn);
+  return status;
 }
 
 }  // namespace icsfuzz::session

@@ -272,7 +272,7 @@ TEST(Fuzzer, StepReturnsPerExecutionResult) {
   proto::ModbusServer server;
   const model::DataModelSet models = pits::modbus_pit();
   Fuzzer fuzzer(server, models, {});
-  const ExecResult first = fuzzer.step();
+  const ExecResult first = fuzzer.step_fast();
   EXPECT_EQ(fuzzer.executor().executions(), 1u);
   EXPECT_TRUE(first.new_path);  // very first execution is always new
 }

@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -376,6 +377,27 @@ TEST(InjectTcp, SilentMessageEndsInDeadlineHangAndRespawns) {
   ASSERT_TRUE(again.faults.empty()) << again.faults.front().detail;
   EXPECT_EQ(again.response, first.response);
   EXPECT_EQ(again.events, first.events);
+}
+
+TEST(InjectTcp, SessionsLeaveNoTimeWait) {
+  // A stock server's sessions are its connections, and the client
+  // half-closes each one first; the interposed close() resets the server's
+  // end once the session is published, so no completed session leaves a
+  // TIME_WAIT entry on the client side.
+  constexpr int kSessions = 200;
+  fuzz::Executor executor(demo_tcp_config(10000));
+  const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("libmodbus")();
+  const Bytes stream = concat({kBenign, kBenignCoils});
+  for (int i = 0; i < kSessions; ++i) {
+    const fuzz::ExecResult& result = executor.run(*placeholder, stream);
+    ASSERT_TRUE(result.faults.empty())
+        << "session " << i << ": " << result.faults.front().detail;
+  }
+  // Only this demo's port: other suites run their own servers in parallel.
+  const std::set<std::uint16_t> ports = test::child_tcp_ports();
+  ASSERT_EQ(ports.size(), 1u);
+  EXPECT_EQ(test::count_tcp_sockets(*ports.begin(), test::kTcpTimeWait), 0u);
 }
 
 }  // namespace

@@ -459,7 +459,7 @@ TEST(FuzzerHooks, ImportedSeedRunsBeforeGeneration) {
   const Bytes seed = model::default_instance(models.at(0)).serialize();
   fuzzer.import_external_seed(seed);
   EXPECT_EQ(fuzzer.imported_pending(), 1u);
-  fuzzer.step();
+  fuzzer.step_fast();
   EXPECT_EQ(fuzzer.imported_pending(), 0u);
   // The imported packet went through the executor.
   EXPECT_EQ(fuzzer.executor().executions(), 1u);

@@ -32,10 +32,12 @@
 #include <cstdlib>
 #include <optional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "exec_oop/exec_protocol.hpp"
+#include "exec_oop/shm_segment.hpp"
 
 #include "fuzzer/fuzzer.hpp"
 #include "fuzzer/instantiator.hpp"
@@ -45,6 +47,7 @@
 #include "session/sequencer.hpp"
 #include "session/session_state.hpp"
 #include "session/session_types.hpp"
+#include "session/session_wire.hpp"
 #include "supervise/checkpoint.hpp"
 #include "tests/test_support.hpp"
 #include "util/rng.hpp"
@@ -322,13 +325,65 @@ TEST(SessionDifferential, FixedSeedCampaignTrajectoryIdenticalOverTcp) {
   EXPECT_GT(in_proc.session_states.size(), 0u);
 }
 
-TEST(SessionDeadline, SilentServerHangsThenRespawnedServerMatchesInProcess) {
-  // A test-local server that says hello and then never publishes: the
-  // announced port belongs to a listener here that nobody accepts on, so
-  // the session's first message waits for a served count that never
-  // comes. The script leaves a marker, so the respawn after the Hang
-  // execs the real shim and the next session must match in-process.
-  // (/dev/fd paths, because a POSIX sh only redirects descriptors 0-9.)
+TEST(SessionDifferential, OneConnectionServesEveryStream) {
+  // The shim server keeps one connection for its lifetime and the client
+  // announces each session's length on the control pipe. On top of the
+  // differential set: a stream past the 1 MiB cap, whose clipped tail is
+  // never sent (announcing packet.size() would stall the server's read),
+  // and a torn frame straight before a full session, whose residue must
+  // stay in its own session.
+  const std::string project = "IEC104";
+  std::vector<Bytes> streams = differential_streams(project, 24);
+  Bytes oversized;
+  while (oversized.size() <= session::kMaxSessionStreamBytes + 4096) {
+    oversized.insert(oversized.end(), kStartDtAct.begin(), kStartDtAct.end());
+  }
+  streams.push_back(std::move(oversized));
+  Bytes torn = kInterrogation;
+  torn.resize(9);
+  streams.push_back(std::move(torn));
+  Bytes full = kStartDtAct;
+  full.insert(full.end(), kInterrogation.begin(), kInterrogation.end());
+  streams.push_back(std::move(full));
+
+  const auto factory = proto::target_factory(project);
+  std::unique_ptr<ProtocolTarget> in_proc_target = factory();
+  std::unique_ptr<ProtocolTarget> placeholder = factory();
+  fuzz::Executor in_proc(session_executor_config(
+      project, fuzz::BackendKind::kInProcess, /*record_traffic=*/true));
+  fuzz::Executor tcp(session_executor_config(
+      project, fuzz::BackendKind::kTcp, /*record_traffic=*/true));
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const ByteSpan packet(streams[i].data(), streams[i].size());
+    const fuzz::ExecResult in_proc_result =
+        in_proc.run(*in_proc_target, packet);
+    const fuzz::ExecResult& tcp_result = tcp.run(*placeholder, packet);
+    expect_results_equal(in_proc_result, tcp_result, i);
+    expect_traffic_equal(in_proc.backend().traffic(), tcp.backend().traffic(),
+                         i);
+  }
+  EXPECT_EQ(in_proc.coverage().snapshot_accumulated(),
+            tcp.coverage().snapshot_accumulated());
+
+  // Every session crossed the same connection: exactly one established
+  // connection (its two ends) on the server's port, and no session left a
+  // TIME_WAIT entry behind.
+  const std::set<std::uint16_t> ports = test::child_tcp_ports();
+  ASSERT_EQ(ports.size(), 1u);
+  const std::uint16_t port = *ports.begin();
+  EXPECT_EQ(test::count_tcp_sockets(port, test::kTcpEstablished), 2u);
+  EXPECT_EQ(test::count_tcp_sockets(port, test::kTcpTimeWait), 0u);
+}
+
+/// A test-local server that says hello (with `caps` in the port word's
+/// high half) and then never publishes: the announced port belongs to a
+/// listener here that nobody accepts on, so the session's first message
+/// waits for a served count that never comes. The script leaves a marker,
+/// so the respawn after the Hang execs the real shim and the next session
+/// must match in-process. (/dev/fd paths, because a POSIX sh only
+/// redirects descriptors 0-9; the script drains the control pipe, where
+/// the kept-connection path writes its session header.)
+void expect_silent_server_hangs_then_respawn_matches(std::uint32_t caps) {
   constexpr int kDeadlineMs = 500;
   std::uint16_t port = 0;
   const int listener = test::bind_ephemeral_loopback(port);
@@ -336,11 +391,12 @@ TEST(SessionDeadline, SilentServerHangsThenRespawnedServerMatchesInProcess) {
   const std::string marker = "/tmp/icsfuzz-silent-server-" +
                              std::to_string(::getpid());
   ::unlink(marker.c_str());
+  const std::uint32_t word = port | caps;
   char hello[64];
   std::snprintf(hello, sizeof hello,
-                "\\124\\123\\103\\111\\%03o\\%03o\\000\\000",
-                static_cast<unsigned>(port & 0xFF),
-                static_cast<unsigned>(port >> 8));  // magic, then the port
+                "\\124\\123\\103\\111\\%03o\\%03o\\%03o\\%03o",
+                word & 0xFF, (word >> 8) & 0xFF, (word >> 16) & 0xFF,
+                word >> 24);  // magic, then the little-endian port word
   static_assert(oop::kTcpHelloMagic == 0x49435354);
   const std::string script =
       "if [ -e " + marker + " ]; then exec " ICSFUZZ_SHIM_PATH
@@ -383,6 +439,17 @@ TEST(SessionDeadline, SilentServerHangsThenRespawnedServerMatchesInProcess) {
 
   ::close(listener);
   ::unlink(marker.c_str());
+}
+
+TEST(SessionDeadline, SilentServerHangsThenRespawnedServerMatchesInProcess) {
+  expect_silent_server_hangs_then_respawn_matches(/*caps=*/0);
+}
+
+TEST(SessionDeadline, SilentKeptConnectionServerHangsThenRespawnMatches) {
+  // The same hang on the kept-connection path: the client connects once,
+  // writes the session header, and still ends in tcp-session-deadline;
+  // the respawned real shim gets a fresh connection.
+  expect_silent_server_hangs_then_respawn_matches(oop::kTcpCapKeepConnection);
 }
 
 #endif  // ICSFUZZ_SHIM_PATH
@@ -681,6 +748,52 @@ TEST(SessionTcpServer, RejectsMalformedShmSizeEnv) {
             3);
   EXPECT_EQ(
       spawn_tcp_server_with_shm_env("/icsfuzz-test-none", "999999999999"), 3);
+}
+
+TEST(SessionTcpServer, RefusesSessionHeaderAboveTheStreamCap) {
+  // The session header crosses a process boundary, so the server distrusts
+  // it like the shm-size env: a length above the stream cap ends the server
+  // with exit code 9 before it reads a single socket byte.
+  oop::ShmSegment segment = oop::ShmSegment::create(session::kTcpSegmentBytes);
+  ASSERT_TRUE(segment.named());
+  int ctl[2];
+  int st[2];
+  ASSERT_EQ(::pipe(ctl), 0);
+  ASSERT_EQ(::pipe(st), 0);
+  const pid_t child = ::fork();
+  if (child == 0) {
+    ::setenv(oop::kShmNameEnv, segment.name().c_str(), 1);
+    ::setenv(oop::kShmSizeEnv, std::to_string(segment.size()).c_str(), 1);
+    if (::dup2(ctl[0], oop::kCtlFd) < 0 || ::dup2(st[1], oop::kStFd) < 0) {
+      ::_exit(127);
+    }
+    ::execl(ICSFUZZ_SHIM_PATH, ICSFUZZ_SHIM_PATH, "--project", "IEC104",
+            "--tcp", static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(ctl[0]);
+  ::close(st[1]);
+
+  std::uint32_t hello[2] = {0, 0};
+  ASSERT_EQ(oop::read_full_deadline(st[0], hello, sizeof hello, 10000),
+            oop::ReadStatus::kOk);
+  EXPECT_EQ(hello[0], oop::kTcpHelloMagic);
+  EXPECT_NE(hello[1] & oop::kTcpCapKeepConnection, 0u);
+  const int conn = test::connect_loopback_deadline(
+      static_cast<std::uint16_t>(hello[1] & 0xFFFF), 10000);
+  ASSERT_GE(conn, 0);
+  const std::uint32_t header =
+      static_cast<std::uint32_t>(session::kMaxSessionStreamBytes) + 1;
+  ASSERT_TRUE(oop::write_full(ctl[1], &header, sizeof header));
+
+  int wstatus = 0;
+  while (::waitpid(child, &wstatus, 0) < 0 && errno == EINTR) {
+  }
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  EXPECT_EQ(WEXITSTATUS(wstatus), 9);
+  ::close(conn);
+  ::close(ctl[1]);
+  ::close(st[0]);
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
 // Shared helpers for the icsfuzz test suite.
 #pragma once
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -124,6 +128,103 @@ class ServerThread {
  private:
   std::thread thread_;
 };
+
+/// TCP states as /proc/net/tcp prints them (include/net/tcp_states.h).
+inline constexpr unsigned kTcpEstablished = 0x01;
+inline constexpr unsigned kTcpTimeWait = 0x06;
+
+/// One IPv4 row of /proc/net/tcp.
+struct TcpSocketRow {
+  std::uint16_t local_port = 0;
+  std::uint16_t remote_port = 0;
+  unsigned state = 0;
+  unsigned long inode = 0;  ///< 0 for sockets no descriptor holds (TIME_WAIT)
+};
+
+inline std::vector<TcpSocketRow> proc_net_tcp() {
+  std::vector<TcpSocketRow> rows;
+  std::FILE* file = std::fopen("/proc/net/tcp", "r");
+  if (file == nullptr) return rows;
+  char line[512];
+  (void)std::fgets(line, sizeof line, file);  // column header
+  while (std::fgets(line, sizeof line, file) != nullptr) {
+    TcpSocketRow row;
+    unsigned local_port = 0;
+    unsigned remote_port = 0;
+    if (std::sscanf(line,
+                    " %*u: %*x:%x %*x:%x %x %*x:%*x %*x:%*x %*x %*u %*d %lu",
+                    &local_port, &remote_port, &row.state, &row.inode) == 4) {
+      row.local_port = static_cast<std::uint16_t>(local_port);
+      row.remote_port = static_cast<std::uint16_t>(remote_port);
+      rows.push_back(row);
+    }
+  }
+  std::fclose(file);
+  return rows;
+}
+
+/// Local ports of the TCP sockets that this process's children hold open:
+/// the ports of the session servers an executor spawned. Lets a test look
+/// at its own server's sockets while other suites run in parallel.
+inline std::set<std::uint16_t> child_tcp_ports() {
+  std::set<unsigned long> inodes;
+  DIR* proc = ::opendir("/proc");
+  if (proc == nullptr) return {};
+  while (const dirent* entry = ::readdir(proc)) {
+    const std::string pid = entry->d_name;
+    if (pid.empty() || pid.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
+    }
+    std::FILE* stat = std::fopen(("/proc/" + pid + "/stat").c_str(), "r");
+    if (stat == nullptr) continue;
+    char buf[1024] = {};
+    const std::size_t got = std::fread(buf, 1, sizeof buf - 1, stat);
+    std::fclose(stat);
+    // The parent pid follows the state letter, after the ")" that closes
+    // the command name (which may itself contain spaces or parentheses).
+    const char* close_paren = std::strrchr(buf, ')');
+    int ppid = 0;
+    if (got == 0 || close_paren == nullptr ||
+        std::sscanf(close_paren + 1, " %*c %d", &ppid) != 1 ||
+        ppid != ::getpid()) {
+      continue;
+    }
+    const std::string fd_dir = "/proc/" + pid + "/fd";
+    DIR* fds = ::opendir(fd_dir.c_str());
+    if (fds == nullptr) continue;
+    while (const dirent* fd = ::readdir(fds)) {
+      char target[64] = {};
+      const std::string link = fd_dir + "/" + fd->d_name;
+      if (::readlink(link.c_str(), target, sizeof target - 1) > 0) {
+        unsigned long inode = 0;
+        if (std::sscanf(target, "socket:[%lu]", &inode) == 1) {
+          inodes.insert(inode);
+        }
+      }
+    }
+    ::closedir(fds);
+  }
+  ::closedir(proc);
+  std::set<std::uint16_t> ports;
+  for (const TcpSocketRow& row : proc_net_tcp()) {
+    if (row.inode != 0 && inodes.count(row.inode) != 0) {
+      ports.insert(row.local_port);
+    }
+  }
+  return ports;
+}
+
+/// Sockets in `state` whose local or remote end is `port`.
+inline std::size_t count_tcp_sockets(std::uint16_t port, unsigned state) {
+  std::size_t count = 0;
+  for (const TcpSocketRow& row : proc_net_tcp()) {
+    if (row.state == state &&
+        (row.local_port == port || row.remote_port == port)) {
+      ++count;
+    }
+  }
+  return count;
+}
 
 // -- Coverage-trace helpers shared by the sparse/SIMD/OOP suites. ---------
 
