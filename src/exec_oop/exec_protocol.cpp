@@ -285,14 +285,10 @@ ReadStatus write_full_deadline(int fd, ByteSpan head, ByteSpan body,
       });
 }
 
-// Request v2 [u32 timeout][u32 control][u32 len], v1 [u32 timeout][u32 len];
-// reply v2 [i32 wstatus][u32 flags][u32 iteration], v1 [i32 wstatus][u8].
-constexpr std::size_t request_bytes(int version) {
-  return version >= 2 ? 12 : 8;
-}
-constexpr std::size_t reply_bytes(int version) {
-  return version >= 2 ? 12 : 5;
-}
+// Request [u32 timeout][u32 control][u32 len]; reply [i32 wstatus]
+// [u32 flags][u32 iteration].
+constexpr std::size_t kRequestBytes = 12;
+constexpr std::size_t kReplyBytes = 12;
 
 }  // namespace
 
@@ -303,56 +299,42 @@ ReadStatus write_full_deadline(int fd, const void* data, std::size_t size,
       timeout_ms);
 }
 
-ReadStatus write_request(int fd, int version, std::uint32_t timeout_ms,
+ReadStatus write_request(int fd, std::uint32_t timeout_ms,
                          std::uint32_t control, ByteSpan packet,
                          int io_timeout_ms) {
-  const auto length = static_cast<std::uint32_t>(packet.size());
-  std::uint8_t wire[12];
+  std::uint8_t wire[kRequestBytes];
   store<std::uint32_t>(wire, 0, timeout_ms);
-  if (version >= 2) {
-    store<std::uint32_t>(wire, 4, control);
-    store<std::uint32_t>(wire, 8, length);
-  } else {
-    store<std::uint32_t>(wire, 4, length);
-  }
-  return write_full_deadline(fd, ByteSpan(wire, request_bytes(version)),
-                             packet, io_timeout_ms);
+  store<std::uint32_t>(wire, 4, control);
+  store<std::uint32_t>(wire, 8, static_cast<std::uint32_t>(packet.size()));
+  return write_full_deadline(fd, ByteSpan(wire, kRequestBytes), packet,
+                             io_timeout_ms);
 }
 
-bool read_request(int fd, int version, Request& request) {
-  std::uint8_t wire[12];
-  if (!read_full(fd, wire, request_bytes(version))) return false;
+bool read_request(int fd, Request& request) {
+  std::uint8_t wire[kRequestBytes];
+  if (!read_full(fd, wire, kRequestBytes)) return false;
   request.timeout_ms = load<std::uint32_t>(wire, 0);
-  request.control = version >= 2 ? load<std::uint32_t>(wire, 4) : 0;
-  request.length = load<std::uint32_t>(wire, version >= 2 ? 8 : 4);
+  request.control = load<std::uint32_t>(wire, 4);
+  request.length = load<std::uint32_t>(wire, 8);
   return true;
 }
 
-bool write_reply(int fd, int version, const Reply& reply) {
-  std::uint8_t wire[12];
+bool write_reply(int fd, const Reply& reply) {
+  std::uint8_t wire[kReplyBytes];
   store<std::int32_t>(wire, 0, reply.wstatus);
-  if (version >= 2) {
-    store<std::uint32_t>(wire, 4, reply.flags);
-    store<std::uint32_t>(wire, 8, reply.iteration);
-  } else {
-    wire[4] = (reply.flags & kReplyTimedOut) != 0 ? 1 : 0;
-  }
-  return write_full(fd, wire, reply_bytes(version));
+  store<std::uint32_t>(wire, 4, reply.flags);
+  store<std::uint32_t>(wire, 8, reply.iteration);
+  return write_full(fd, wire, kReplyBytes);
 }
 
-ReadStatus read_reply(int fd, int version, Reply& reply, int timeout_ms) {
-  std::uint8_t wire[12];
+ReadStatus read_reply(int fd, Reply& reply, int timeout_ms) {
+  std::uint8_t wire[kReplyBytes];
   const ReadStatus status =
-      read_full_deadline(fd, wire, reply_bytes(version), timeout_ms);
+      read_full_deadline(fd, wire, kReplyBytes, timeout_ms);
   if (status != ReadStatus::kOk) return status;
   reply.wstatus = load<std::int32_t>(wire, 0);
-  if (version >= 2) {
-    reply.flags = load<std::uint32_t>(wire, 4);
-    reply.iteration = load<std::uint32_t>(wire, 8);
-  } else {
-    reply.flags = wire[4] != 0 ? kReplyTimedOut : 0;
-    reply.iteration = 0;
-  }
+  reply.flags = load<std::uint32_t>(wire, 4);
+  reply.iteration = load<std::uint32_t>(wire, 8);
   return ReadStatus::kOk;
 }
 

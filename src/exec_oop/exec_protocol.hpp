@@ -1,14 +1,17 @@
 // Wire + segment protocol shared by the fuzzer-side fork-server client
-// (fork_server.hpp / oop_executor.hpp) and the target-side shim loop
-// (shim_runner.hpp, linked into tools/icsfuzz_shim_target.cpp).
+// (fork_server.hpp / oop_executor.hpp) and the target-side server loop
+// (server_loop.hpp, run by the shim and by libicsfuzz-preload.so).
 //
-// Segment layout (one ShmSegment of kSegmentBytes):
+// Segment layout (one ShmSegment of kSegmentBytesV2):
 //
-//   [0, kMapSize)                  raw edge-hit map (cov::kMapSize bytes),
-//                                  written by the instrumented child via
-//                                  cov::begin_trace into the mapping
-//   [kAuxOffset, kAuxOffset+kAux)  auxiliary execution result, written by
-//                                  the child just before _exit
+//   [0, kMapSize)                  fork-per-exec coverage map
+//                                  (cov::kMapSize bytes), written by the
+//                                  instrumented child into the mapping
+//   [kAuxOffset, kSegmentBytes)    fork-per-exec aux result block, written
+//                                  by the child just before _exit
+//   [kSlotsOffset, kCtlBlockOffset) kNumSlots persistent slots, each its
+//                                  own map, aux block and test-case buffer
+//   [kCtlBlockOffset, +64)         the persistent iteration's control block
 //
 // The aux block ships the observables a pipe could lose if the child died
 // mid-write: the instrumentation event count (the deterministic hang
@@ -18,54 +21,50 @@
 // fully written block and a missing magic means the child never finished
 // (killed, crashed, hung).
 //
-// Pipe protocol (classic AFL two-pipe handshake, enriched, versioned):
+// Pipe protocol (classic AFL two-pipe handshake, enriched; this is
+// protocol version kProtocolVersion):
 //
-//   spawn:    shim dup2s the control pipe onto fd kCtlFd and the status
-//             pipe onto fd kStFd, then handshakes on kStFd. A v1 shim
-//             writes the bare [u32 kHelloMagic]; a v2 shim writes
-//             [u32 kHelloMagicV2][u32 caps] where caps advertises optional
-//             features (kCapPersistent). The client accepts either hello
-//             and downgrades its request format to what the server speaks,
-//             which is how a new fuzzer degrades gracefully to
-//             fork-per-exec against an old shim binary.
-//   per exec: v1 request  [u32 timeout_ms][u32 packet_len][packet]
-//             v2 request  [u32 timeout_ms][u32 control][u32 packet_len]
-//                         [packet], where control == 0 keeps the v1
-//                         fork-per-exec semantics and a persistent control
-//                         word (encode_control) routes the execution into
-//                         the persistent child over a shm test-case slot
-//                         (packet_len is then 0 — the packet travels
-//                         through the segment, not the pipe).
-//             The shim runs the execution (fork per exec, or one iteration
-//             of the persistent child's loop), SIGKILLing the child when
-//             its timeout_ms interval timer fires first — the shim owns
-//             the pid, so the kill can never hit a recycled pid — then
-//             replies on kStFd:
-//             v1 reply  [i32 wstatus][u8 timed_out]
-//             v2 reply  [i32 wstatus][u32 flags][u32 iteration], flags
-//                       carrying timed-out / ran-persistent / recycled
-//                       (+ the recycle reason), iteration saying which
-//                       "N of K" of the serving child this execution was.
+//   spawn:    the server dup2s the control pipe onto fd kCtlFd and the
+//             status pipe onto fd kStFd, then writes the hello on kStFd:
+//             [u32 kHelloMagicV2][u32 caps], where caps advertises optional
+//             features (kCapPersistent). Any other hello fails the
+//             handshake.
+//   per exec: request [u32 timeout_ms][u32 control][u32 packet_len]
+//             [packet], where control == 0 forks one child for the packet
+//             (fork-per-exec) and a persistent control word
+//             (encode_control) routes the execution into the persistent
+//             child over a shm test-case slot (packet_len is then 0 — the
+//             packet travels through the segment, not the pipe).
+//             The server runs the execution (fork per exec, or one
+//             iteration of the persistent child's loop), SIGKILLing the
+//             child when its timeout_ms interval timer fires first — the
+//             server owns the pid, so the kill can never hit a recycled
+//             pid — then replies on kStFd:
+//             reply [i32 wstatus][u32 flags][u32 iteration], flags
+//             carrying timed-out / ran-persistent / recycled (+ the
+//             recycle reason), iteration saying which "N of K" of the
+//             serving child this execution was.
 //             The executor's own read deadline (timeout_ms plus a grace
 //             margin) only guards against the server itself wedging,
 //             which is reported as server-lost, not as a hang.
-//   shutdown: executor closes the control pipe; the shim's request read
+//   shutdown: executor closes the control pipe; the server's request read
 //             sees EOF, reaps any stopped persistent child and exits
 //             cleanly (exit 0 — an *orderly* shutdown the client tells
 //             apart from a lost server).
 //
-// Persistent mode (v2 + kCapPersistent): the shim forks one long-lived
-// child that loops up to K executions (the request's budget). Between
+// Persistent mode (kCapPersistent): the server forks one long-lived child
+// that loops up to K executions (the request's budget). Between
 // iterations the child raises SIGSTOP (AFL deferred/persistent-mode
-// convention); the shim observes the stop via waitpid(WUNTRACED), which is
-// the "iteration complete" signal, and SIGCONTs it when the next request
-// arrives. The child _exit(0)s at iteration K (budget exhaustion) and the
-// shim re-forks on the next request — likewise after a crash or a
+// convention); the server observes the stop with a stop-reporting
+// waitpid, which is the "iteration complete" signal, and SIGCONTs it when
+// the next request arrives. The child _exit(0)s at iteration K (budget exhaustion) and the
+// server re-forks on the next request — likewise after a crash or a
 // deadline kill, so one bad execution never poisons the loop. Each
 // iteration's observables land in that request's shm *slot* (its own map,
 // aux block and test-case buffer), so the client can pipeline up to
 // kNumSlots requests into the pipe without a round-trip stall per exec
-// and adopt each slot's results as the in-order replies drain.
+// and adopt each slot's results as the in-order replies drain. A server
+// that did not advertise the capability refuses a persistent request.
 #pragma once
 
 #include <cstdint>
@@ -78,27 +77,26 @@
 
 namespace icsfuzz::oop {
 
-/// Fixed descriptors the shim inherits (AFL uses 198/199 for the same
+/// Fixed descriptors the server inherits (AFL uses 198/199 for the same
 /// purpose; keeping the convention makes the protocol self-describing).
 inline constexpr int kCtlFd = 198;
 inline constexpr int kStFd = 199;
 
-/// First word the shim writes after attaching the segment ("ICSF") —
-/// protocol v1: fork-per-exec only, no capability word.
-inline constexpr std::uint32_t kHelloMagic = 0x49435346;
+/// The protocol this header describes (reported by icsfuzz-inject-check).
+inline constexpr int kProtocolVersion = 2;
 
-/// v2 hello magic ("ICS2"): followed by a u32 capability word.
+/// Hello magic ("ICS2"): followed by a u32 capability word.
 inline constexpr std::uint32_t kHelloMagicV2 = 0x49435332;
 
-/// Capability bits in the v2 hello.
+/// Capability bits in the hello.
 inline constexpr std::uint32_t kCapPersistent = 1u << 0;
 
 /// TCP session-server hello magic ("ICST"), written by a shim started in
-/// `--tcp` mode (session/tcp_server.hpp) instead of the fork-server hellos
+/// `--tcp` mode (session/tcp_server.hpp) instead of the fork-server hello
 /// above, followed by [u32 port | caps]: the loopback port the session
 /// server accepts connections on in the low 16 bits, capability bits in the
-/// high 16. The segment then carries one extra sync block after the v1
-/// region (session/session_wire.hpp documents the geometry); session bytes
+/// high 16. The segment then carries one extra sync block after the
+/// fork-per-exec region (session/session_wire.hpp documents the geometry); session bytes
 /// travel over the socket, never over the control pipe.
 inline constexpr std::uint32_t kTcpHelloMagic = 0x49435354;
 
@@ -113,18 +111,16 @@ inline constexpr std::uint32_t kTcpCapKeepConnection = 1u << 16;
 /// Aux-block completion magic ("OOP!"), stored last by the child.
 inline constexpr std::uint32_t kAuxCompleteMagic = 0x4F4F5021;
 
-/// v1 segment geometry: the coverage map followed by the aux result block.
-/// This region still serves every fork-per-exec execution (and is all a v1
-/// shim ever touches).
+/// Fork-per-exec region: the coverage map followed by the aux result block.
 inline constexpr std::size_t kAuxOffset = cov::kMapSize;
 inline constexpr std::size_t kAuxBytes = std::size_t{1} << 16;
 inline constexpr std::size_t kSegmentBytes = kAuxOffset + kAuxBytes;
 
-/// v2 slot region, appended after the v1 region: kNumSlots independent
-/// execution slots, each with its own coverage map, aux block and
-/// test-case buffer, so up to kNumSlots persistent-mode requests can be in
-/// flight (pipelined into the pipe) with no shared mutable state between
-/// them.
+/// Persistent slot region, appended after the fork-per-exec region:
+/// kNumSlots independent execution slots, each with its own coverage map,
+/// aux block and test-case buffer, so up to kNumSlots persistent-mode
+/// requests can be in flight (pipelined into the pipe) with no shared
+/// mutable state between them.
 inline constexpr std::uint32_t kNumSlots = 4;
 inline constexpr std::size_t kSlotAuxOffset = cov::kMapSize;
 inline constexpr std::size_t kSlotTestCaseOffset = kSlotAuxOffset + kAuxBytes;
@@ -133,7 +129,7 @@ inline constexpr std::size_t kSlotBytes =
     kSlotTestCaseOffset + kSlotTestCaseBytes;
 inline constexpr std::size_t kSlotsOffset = kSegmentBytes;
 
-/// Per-iteration control block the shim writes before waking (or forking)
+/// Per-iteration control block the server writes before waking (or forking)
 /// the persistent child: which slot this iteration serves, the loop budget
 /// K, and the campaign-global execution index (fault-injection hooks key
 /// off it, mirroring the fork-per-exec plan semantics).
@@ -141,8 +137,8 @@ inline constexpr std::size_t kCtlBlockOffset =
     kSlotsOffset + std::size_t{kNumSlots} * kSlotBytes;
 inline constexpr std::size_t kCtlBlockBytes = 64;
 
-/// Full v2 segment size (the client always creates this much; a v1 shim
-/// simply never looks past kSegmentBytes).
+/// Full segment size: the client creates this much, and a fork server
+/// refuses to attach less.
 inline constexpr std::size_t kSegmentBytesV2 = kCtlBlockOffset + kCtlBlockBytes;
 
 /// Byte offset of persistent slot `slot` inside the segment.
@@ -150,9 +146,9 @@ inline constexpr std::size_t kSegmentBytesV2 = kCtlBlockOffset + kCtlBlockBytes;
   return kSlotsOffset + std::size_t{slot} * kSlotBytes;
 }
 
-// -- v2 request control word. ----------------------------------------------
+// -- Request control word. -------------------------------------------------
 //
-// 0 = v1 fork-per-exec semantics (packet on the pipe, results in the v1
+// 0 = fork-per-exec (packet on the pipe, results in the fork-per-exec
 // region). Otherwise: bits [0,4) the slot index, bit 4 the persistent
 // marker, bits [8,32) the iteration budget K.
 inline constexpr std::uint32_t kCtlPersistent = 1u << 4;
@@ -171,7 +167,7 @@ inline constexpr std::uint32_t kCtlBudgetShift = 8;
   return control >> kCtlBudgetShift;
 }
 
-// -- v2 reply flags. -------------------------------------------------------
+// -- Reply flags. ----------------------------------------------------------
 inline constexpr std::uint32_t kReplyTimedOut = 1u << 0;
 /// The execution ran inside the persistent child (not a fresh fork).
 inline constexpr std::uint32_t kReplyPersistent = 1u << 1;
@@ -201,7 +197,7 @@ struct CtlBlock {
   std::uint64_t exec_index = 0;
 };
 
-/// Publishes `ctl` into the segment (shim side, before fork/SIGCONT) /
+/// Publishes `ctl` into the segment (server side, before fork/SIGCONT) /
 /// reads it back (child side, after resuming). The kernel round trip of
 /// the wakeup orders the accesses; the fences make the pairing explicit.
 void ctl_store(std::uint8_t* segment, const CtlBlock& ctl);
@@ -216,7 +212,7 @@ bool slot_store_packet(std::uint8_t* segment, std::uint32_t slot,
 /// The packet span stored in slot `slot` (persistent-child side).
 ByteSpan slot_load_packet(const std::uint8_t* segment, std::uint32_t slot);
 
-/// Environment variables carrying the segment to the exec'd shim.
+/// Environment variables carrying the segment to the exec'd server.
 inline constexpr const char* kShmNameEnv = "ICSFUZZ_OOP_SHM";
 inline constexpr const char* kShmSizeEnv = "ICSFUZZ_OOP_SHM_SIZE";
 
@@ -275,36 +271,35 @@ ReadStatus write_full_deadline(int fd, const void* data, std::size_t size,
 
 // -- Requests and replies: each crosses its pipe in ONE write, so the peer
 // wakes once per message instead of once per field. The bytes are exactly
-// the v1/v2 formats described at the top of this file.
+// the formats described at the top of this file.
 
-/// One request header; `control` is 0 for (and not sent to) a v1 server.
+/// One request header.
 struct Request {
   std::uint32_t timeout_ms = 0;
   std::uint32_t control = 0;
   std::uint32_t length = 0;  ///< bytes of packet that follow
 };
 
-/// Client side: sends the `version` header for `packet` followed by the
-/// packet, gathered into one writev on the non-blocking request pipe.
-ReadStatus write_request(int fd, int version, std::uint32_t timeout_ms,
+/// Client side: sends the header for `packet` followed by the packet,
+/// gathered into one writev on the non-blocking request pipe.
+ReadStatus write_request(int fd, std::uint32_t timeout_ms,
                          std::uint32_t control, ByteSpan packet,
                          int io_timeout_ms);
 
-/// Shim side: reads one `version` request header; false on EOF or error.
-bool read_request(int fd, int version, Request& request);
+/// Server side: reads one request header; false on EOF or error.
+bool read_request(int fd, Request& request);
 
-/// One reply; a v1 reply carries only the kReplyTimedOut flag.
+/// One reply.
 struct Reply {
   std::int32_t wstatus = 0;
   std::uint32_t flags = 0;
   std::uint32_t iteration = 0;
 };
 
-/// Shim side: sends `reply` in the `version` wire format with one write.
-bool write_reply(int fd, int version, const Reply& reply);
+/// Server side: sends `reply` with one write.
+bool write_reply(int fd, const Reply& reply);
 
-/// Client side: reads one whole `version` reply; status as
-/// read_full_deadline.
-ReadStatus read_reply(int fd, int version, Reply& reply, int timeout_ms);
+/// Client side: reads one whole reply; status as read_full_deadline.
+ReadStatus read_reply(int fd, Reply& reply, int timeout_ms);
 
 }  // namespace icsfuzz::oop

@@ -167,12 +167,9 @@ bool ForkServer::start(const std::vector<std::string>& argv,
   ::fcntl(ctl_fd_, F_SETFL, ::fcntl(ctl_fd_, F_GETFL) | O_NONBLOCK);
   server_pid_ = pid;
 
-  // Versioned hello: a v1 server sends the bare magic (fork-per-exec
-  // only), a v2 server follows its magic with a capability word. Keeping
-  // both accepted is what lets a new fuzzer drive an old shim binary —
-  // it simply never gets the persistent capability and degrades to
-  // fork-per-exec requests in the v1 wire format.
-  version_ = 0;
+  // Hello: the magic, then the capability word. Any other magic (an old
+  // bare-magic server, a program that does not speak the protocol) fails
+  // the handshake without waiting for a capability word that never comes.
   caps_ = 0;
   std::uint32_t hello = 0;
   ReadStatus status =
@@ -180,20 +177,15 @@ bool ForkServer::start(const std::vector<std::string>& argv,
   if (status == ReadStatus::kOk && hello == kHelloMagicV2) {
     status = read_full_deadline(st_fd_, &caps_, sizeof(caps_),
                                 handshake_timeout_ms);
-    if (status == ReadStatus::kOk) version_ = 2;
-  } else if (status == ReadStatus::kOk && hello == kHelloMagic) {
-    version_ = 1;
+    if (status == ReadStatus::kOk) return true;
   }
-  if (version_ == 0) {
-    error_ = status == ReadStatus::kTimeout
-                 ? "fork server handshake timed out"
-                 : (status == ReadStatus::kClosed
-                        ? "fork server exited before handshake"
-                        : "fork server sent a bad hello");
-    stop();
-    return false;
-  }
-  return true;
+  error_ = status == ReadStatus::kTimeout
+               ? "fork server handshake timed out"
+               : (status == ReadStatus::kClosed
+                      ? "fork server exited before handshake"
+                      : "fork server sent a bad hello");
+  stop();
+  return false;
 }
 
 ForkServer::RunOutcome::Kind ForkServer::classify_server_gone() {
@@ -239,7 +231,7 @@ bool ForkServer::send_request(std::uint32_t control, ByteSpan packet,
   const std::uint32_t wire_timeout =
       timeout_ms <= 0 ? 0 : static_cast<std::uint32_t>(timeout_ms);
   const ReadStatus status = oop::write_request(
-      ctl_fd_, version_, wire_timeout, control, packet, io_deadline_ms);
+      ctl_fd_, wire_timeout, control, packet, io_deadline_ms);
   if (status != ReadStatus::kOk) {
     if (status == ReadStatus::kTimeout) {
       error_ = "fork server stopped draining the request pipe";
@@ -270,7 +262,7 @@ ForkServer::RunOutcome ForkServer::await_reply(int io_deadline_ms) {
   // margin on top of the exec budget and expiry means server-gone, never
   // a hang verdict.
   Reply reply;
-  const ReadStatus status = read_reply(st_fd_, version_, reply, io_deadline_ms);
+  const ReadStatus status = read_reply(st_fd_, reply, io_deadline_ms);
   if (status != ReadStatus::kOk) {
     error_ = "fork server died mid-execution";
     outcome.kind = status == ReadStatus::kClosed

@@ -5,23 +5,24 @@
 // that is a single fork() inside the target — or, in persistent mode, one
 // SIGCONT/SIGSTOP round trip of a long-lived child — which is what makes
 // out-of-process fuzzing of real binaries viable at tens of thousands of
-// executions per second. The server process is the shim's request loop;
-// the per-execution child is the shim's fork (or persistent loop body).
+// executions per second. The server process runs the target-side loop of
+// server_loop.hpp (inside the shim, or inside a stock binary through
+// libicsfuzz-preload.so); the per-execution child is its fork (or the
+// persistent child's loop body).
 //
-// The handshake is versioned: a v1 server speaks fork-per-exec only, a v2
-// server adds a capability word (persistent mode). start() records what
-// the server offered; callers that want persistent execution check
-// persistent_capable() and degrade to fork-per-exec when an old shim is
-// on the other side.
+// The hello carries a capability word: start() records what the server
+// offered; callers that want persistent execution check
+// persistent_capable() and stay on fork-per-exec when the server does not
+// offer it (a preloaded target that does not cooperate).
 //
 // Failure surface (all reported, never thrown — the campaign must outlive
 // a dying target):
 //   * spawn/handshake failure  -> start() false, error() says why
-//   * per-exec wall-clock hang -> the shim SIGKILLs its own child at the
+//   * per-exec wall-clock hang -> the server SIGKILLs its own child at the
 //                                 deadline (it owns the pid — no recycled
 //                                 -pid hazard) and the run reports
 //                                 kTimeout
-//   * orderly server exit      -> EOF plus exit status 0 (the shim
+//   * orderly server exit      -> EOF plus exit status 0 (the server
 //                                 retired after its final execution);
 //                                 reported kServerExited so telemetry
 //                                 never books it as a lost server
@@ -63,7 +64,7 @@ class ForkServer {
     Kind kind = Kind::kServerLost;
     int exit_code = 0;
     int term_signal = 0;
-    /// The execution ran inside the persistent child (v2 reply flag).
+    /// The execution ran inside the persistent child (reply flag).
     bool persistent = false;
     /// 1-based iteration "N of K" within the serving child (persistent).
     std::uint32_t iteration = 0;
@@ -109,9 +110,7 @@ class ForkServer {
   [[nodiscard]] pid_t server_pid() const { return server_pid_; }
   [[nodiscard]] const std::string& error() const { return error_; }
 
-  /// Negotiated protocol version (1 or 2); 0 before the first handshake.
-  [[nodiscard]] int protocol_version() const { return version_; }
-  /// The server advertised the persistent capability (v2 only).
+  /// The server advertised the persistent capability.
   [[nodiscard]] bool persistent_capable() const {
     return (caps_ & kCapPersistent) != 0;
   }
@@ -119,8 +118,8 @@ class ForkServer {
   [[nodiscard]] RunOutcome::Kind last_failure() const { return last_failure_; }
 
  private:
-  /// Writes one request ([timeout][control?][len][packet]) in the
-  /// negotiated wire format; classifies the server on failure.
+  /// Writes one request ([timeout][control][len][packet]); classifies
+  /// the server on failure.
   bool send_request(std::uint32_t control, ByteSpan packet, int timeout_ms,
                     int io_deadline_ms);
 
@@ -131,7 +130,6 @@ class ForkServer {
   pid_t server_pid_ = -1;
   int ctl_fd_ = -1;  ///< write side: request stream
   int st_fd_ = -1;   ///< read side: hello / reply stream
-  int version_ = 0;
   std::uint32_t caps_ = 0;
   RunOutcome::Kind last_failure_ = RunOutcome::Kind::kServerLost;
   std::string error_;

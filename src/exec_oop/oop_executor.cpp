@@ -65,8 +65,7 @@ bool OutOfProcessExecutor::spawn() {
   server_.stop();
   // A fresh segment per spawn: restart never races a peer's shm_unlink of
   // the previous name, and a crashed child can leave no stale bytes behind.
-  // Always the v2 size — a v1 shim validates only the v1 prefix it uses,
-  // so the extra slot region is invisible to it.
+  // Always the full size: fork servers refuse to attach less.
   segment_ = ShmSegment::create(kSegmentBytesV2);
   if (!segment_.valid()) {
     error_ = "shm segment creation failed: " + segment_.error();
@@ -218,7 +217,7 @@ const OutOfProcessExecutor::Outcome& OutOfProcessExecutor::run(
     std::size_t map_offset = 0;
     std::size_t aux_offset = kAuxOffset;
     // Persistent single-exec path: packet through slot 0, oversized
-    // packets (rare — > kSlotTestCaseBytes) fall back to the v1-style
+    // packets (rare — > kSlotTestCaseBytes) fall back to a fork-per-exec
     // pipe request for this one execution.
     if (persistent_active() && slot_store_packet(segment_.data(), 0, packet)) {
       raw = server_.run_persistent(
@@ -250,8 +249,8 @@ std::size_t OutOfProcessExecutor::run_batch(
 
   while (next_deliver < packets.size()) {
     if (!persistent_active() || !ensure_started()) {
-      // No pipelining available (fork-per-exec, v1 server, or the server
-      // is down): drain the remainder through the sequential path, which
+      // No pipelining available (fork-per-exec, a server without the
+      // persistent capability, or the server is down): drain the remainder through the sequential path, which
       // owns the respawn/retry policy.
       for (; next_deliver < packets.size(); ++next_deliver) {
         on_outcome(next_deliver, run(ByteSpan(packets[next_deliver])));

@@ -11,15 +11,16 @@
 // asserts exactly that.
 //
 // Two execution modes behind one run() call:
-//   * fork-per-exec — one fork() per packet (protocol v1 semantics; the
-//     only mode a v1 shim offers).
+//   * fork-per-exec — one fork() per packet (control word 0; the only
+//     mode a server without kCapPersistent offers, e.g. a preloaded target
+//     that does not cooperate).
 //   * persistent    — `persistent_budget` > 1 and the server advertises
 //     kCapPersistent: packets travel through shm test-case slots into a
 //     long-lived child that loops K executions per process, which removes
 //     the per-exec fork() and recovers an order of magnitude of
 //     throughput. run_batch() additionally pipelines up to kNumSlots
 //     requests so the round-trip stall disappears from replay-style
-//     workloads. An old (v1) server silently degrades the executor to
+//     workloads. A server without the capability keeps the executor on
 //     fork-per-exec — persistent_active() reports what actually runs.
 //
 // Robustness: a lost fork server (crashed, killed, never handshaken) is
@@ -150,8 +151,8 @@ class OutOfProcessExecutor {
       const std::function<void(std::size_t, const Outcome&)>& on_outcome);
 
   /// The shm coverage words the last outcome's execution produced
-  /// (kMapWords uint64s), ready for CoverageMap::adopt_external — the v1
-  /// map region or the persistent slot that served the execution. Null
+  /// (kMapWords uint64s), ready for CoverageMap::adopt_external — the
+  /// fork-per-exec map region or the persistent slot that served the execution. Null
   /// until the server started. During run_batch this advances with each
   /// callback.
   [[nodiscard]] const std::uint64_t* map_words() const {
@@ -165,9 +166,9 @@ class OutOfProcessExecutor {
   [[nodiscard]] bool persistent_requested() const {
     return config_.persistent_budget > 1;
   }
-  /// Persistent mode actually in effect: requested AND the serving shim
-  /// advertised the capability. False before the first spawn and after a
-  /// v1 server degraded us to fork-per-exec.
+  /// Persistent mode actually in effect: requested AND the serving server
+  /// advertised the capability. False before the first spawn and against
+  /// a server without the capability.
   [[nodiscard]] bool persistent_active() const {
     return persistent_requested() && server_.persistent_capable();
   }

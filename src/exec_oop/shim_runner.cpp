@@ -1,17 +1,14 @@
 #include "exec_oop/shim_runner.hpp"
 
 #include <signal.h>
-#include <sys/time.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
 #include "coverage/instrument.hpp"
 #include "exec_oop/exec_protocol.hpp"
-#include "exec_oop/shm_segment.hpp"
+#include "exec_oop/server_loop.hpp"
 #include "sanitizer/fault.hpp"
 #include "supervise/resource_jail.hpp"
 
@@ -23,76 +20,6 @@ std::uint64_t env_u64(const char* name) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return 0;
   return std::strtoull(value, nullptr, 10);
-}
-
-/// Set by the SIGALRM handler when the per-exec deadline fires. The
-/// handler only flags: the kill happens in normal context inside the
-/// waitpid loop, where the child is provably not yet reaped — so the shim
-/// can never SIGKILL a recycled pid.
-volatile sig_atomic_t g_deadline_fired = 0;
-
-void on_deadline(int) { g_deadline_fired = 1; }
-
-/// Installs the SIGALRM disposition WITHOUT SA_RESTART, so the blocking
-/// waitpid returns EINTR when the timer fires.
-void install_deadline_handler() {
-  struct sigaction action {};
-  action.sa_handler = on_deadline;
-  ::sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  ::sigaction(SIGALRM, &action, nullptr);
-}
-
-/// Arms (or with 0 disarms) the per-exec interval timer. The timer
-/// REPEATS at the same period: a one-shot could fire (and be consumed by
-/// the handler) in the window between arming and waitpid() blocking —
-/// e.g. the shim descheduled on a loaded runner — after which a hung
-/// child would block the shim forever. With a repeating interval the next
-/// tick delivers another EINTR and the kill still happens.
-void arm_deadline(std::uint32_t timeout_ms) {
-  struct itimerval timer {};
-  timer.it_value.tv_sec = timeout_ms / 1000;
-  timer.it_value.tv_usec =
-      static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  timer.it_interval = timer.it_value;
-  ::setitimer(ITIMER_REAL, &timer, nullptr);
-}
-
-/// Waits for `child` with the per-exec deadline armed; SIGKILLs it when
-/// the timer fires first. With `wait_stops` the waitpid also returns for a
-/// child that stopped itself (the persistent child's iteration-complete
-/// SIGSTOP). Returns the raw wstatus; `timed_out` reports a deadline kill.
-int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
-                bool& timed_out) {
-  g_deadline_fired = 0;
-  if (timeout_ms != 0) arm_deadline(timeout_ms);
-  int wstatus = 0;
-  timed_out = false;
-  const int options = wait_stops ? WUNTRACED : 0;
-  for (;;) {
-    const pid_t reaped = ::waitpid(child, &wstatus, options);
-    if (reaped == child) {
-      // After a deadline SIGKILL, a stop that was already pending can be
-      // reported first; keep waiting for the termination so the child is
-      // actually reaped (no zombie) before the hang verdict goes out.
-      if (timed_out && WIFSTOPPED(wstatus)) continue;
-      break;
-    }
-    if (reaped < 0 && errno == EINTR) {
-      if (g_deadline_fired && !timed_out) {
-        timed_out = true;
-        // SIGKILL terminates even a stopped child, so a deadline that
-        // races the iteration-complete stop still converges: whichever
-        // state change waitpid reports first wins, and a just-stopped
-        // child is reported as stopped (completed), not as a hang.
-        ::kill(child, SIGKILL);
-      }
-      continue;
-    }
-    break;  // unexpected waitpid failure; report whatever we have
-  }
-  arm_deadline(0);
-  return wstatus;
 }
 
 /// Fault-plan OOM hook: allocates address space until the resource jail's
@@ -109,9 +36,23 @@ int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
   ::_exit(supervise::kOomExitCode);
 }
 
+/// The plan's child-side faults, keyed off the campaign-global execution
+/// index — same semantics in a fork-per-exec child and a persistent
+/// iteration.
+void inject_child_faults(const ShimFaultPlan& plan, std::uint64_t exec_index) {
+  if (plan.kill_child_at != 0 && exec_index == plan.kill_child_at) {
+    ::raise(SIGKILL);
+  }
+  if (plan.segv_at != 0 && exec_index == plan.segv_at) ::raise(SIGSEGV);
+  if (plan.hang_at != 0 && exec_index == plan.hang_at) {
+    for (;;) ::pause();
+  }
+  if (plan.oom_at != 0 && exec_index == plan.oom_at) exhaust_memory();
+}
+
 /// One fork-per-exec execution, inside the forked child: trace into the
-/// v1 region of the shm segment, run the target, publish the aux block,
-/// _exit. Never returns.
+/// fork-per-exec region of the shm segment, run the target, publish the
+/// aux block, _exit. Never returns.
 [[noreturn]] void run_child(ProtocolTarget& target, std::uint8_t* segment,
                             ByteSpan packet) {
   // Same arming order as the in-process Executor::run_into — reset,
@@ -122,8 +63,8 @@ int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
   target.reset();
   san::FaultSink::arm();
   // The child's trace must satisfy the dirty-list invariant "every word not
-  // listed is zero": the server memset the whole segment before forking,
-  // and this list starts empty.
+  // listed is zero": the server memset the fork-per-exec region before
+  // forking, and this list starts empty.
   static cov::DirtyWordList dirty;
   dirty.count = 0;
   cov::begin_trace(segment, &dirty);
@@ -147,7 +88,7 @@ int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
 /// clear (its own per-slot dirty list — nobody else writes a slot's map
 /// while this child serves it), runs the target, publishes the slot's aux
 /// block, and raises SIGSTOP to report completion. The final iteration
-/// _exit(0)s instead — the budget-exhaustion recycle the shim re-forks
+/// _exit(0)s instead — the budget-exhaustion recycle the server re-forks
 /// after. Never returns.
 [[noreturn]] void run_persistent_child(ProtocolTarget& target,
                                        std::uint8_t* segment,
@@ -172,20 +113,7 @@ int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
     const std::uint32_t slot = ctl.slot < kNumSlots ? ctl.slot : 0;
     std::uint8_t* slot_base = segment + slot_offset(slot);
 
-    // Fault-plan hooks key off the campaign-global execution index, same
-    // semantics as the fork-per-exec path.
-    if (plan.kill_child_at != 0 && ctl.exec_index == plan.kill_child_at) {
-      ::raise(SIGKILL);
-    }
-    if (plan.segv_at != 0 && ctl.exec_index == plan.segv_at) {
-      ::raise(SIGSEGV);
-    }
-    if (plan.hang_at != 0 && ctl.exec_index == plan.hang_at) {
-      for (;;) ::pause();
-    }
-    if (plan.oom_at != 0 && ctl.exec_index == plan.oom_at) {
-      exhaust_memory();
-    }
+    inject_child_faults(plan, ctl.exec_index);
 
     // Pristine slot state: full memset on this child's first use of the
     // slot, sparse-clear of the previous iteration's dirty words after
@@ -219,30 +147,10 @@ int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
     aux_store(slot_base + kSlotAuxOffset, kAuxBytes, result);
 
     if (iteration >= budget) ::_exit(0);  // budget exhausted: recycle me
-    // Iteration complete: stop until the shim SIGCONTs us with the next
+    // Iteration complete: stop until the server SIGCONTs us with the next
     // assignment in the control block.
     ::raise(SIGSTOP);
   }
-}
-
-/// Shim-side bookkeeping for the persistent child.
-struct PersistentChild {
-  pid_t pid = -1;
-  std::uint32_t iteration = 0;  ///< executions served by this child
-  std::uint32_t budget = 0;
-
-  [[nodiscard]] bool alive() const { return pid > 0; }
-};
-
-/// SIGKILLs and reaps a (possibly stopped) persistent child — shutdown
-/// and server-retirement hygiene so no stopped process outlives the shim.
-void kill_persistent_child(PersistentChild& child) {
-  if (!child.alive()) return;
-  ::kill(child.pid, SIGKILL);
-  int wstatus = 0;
-  while (::waitpid(child.pid, &wstatus, 0) < 0 && errno == EINTR) {
-  }
-  child.pid = -1;
 }
 
 }  // namespace
@@ -250,7 +158,6 @@ void kill_persistent_child(PersistentChild& child) {
 ShimFaultPlan shim_fault_plan_from_env() {
   ShimFaultPlan plan;
   plan.no_handshake = env_u64("ICSFUZZ_SHIM_NO_HANDSHAKE") != 0;
-  plan.legacy_v1 = env_u64("ICSFUZZ_SHIM_LEGACY_V1") != 0;
   plan.kill_child_at = env_u64("ICSFUZZ_SHIM_KILL_CHILD_AT");
   plan.segv_at = env_u64("ICSFUZZ_SHIM_SEGV_AT");
   plan.hang_at = env_u64("ICSFUZZ_SHIM_HANG_AT");
@@ -261,163 +168,27 @@ ShimFaultPlan shim_fault_plan_from_env() {
 }
 
 int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan) {
-  const char* shm_name = std::getenv(kShmNameEnv);
-  const std::uint64_t shm_size = env_u64(kShmSizeEnv);
-  if (shm_name == nullptr || shm_size < kSegmentBytes) {
-    // Not spawned by a fork server; exiting without the hello makes the
-    // client report a handshake failure with this code visible in ps/logs.
-    return 3;
-  }
-  ShmSegment segment =
-      ShmSegment::attach(shm_name, static_cast<std::size_t>(shm_size));
+  // Without a usable segment (not spawned by a fork server, or a malformed
+  // size) the shim exits before the hello; the client reports a handshake
+  // failure with this code visible in ps/logs.
+  const AttachedSegment segment = attach_segment_from_env(kSegmentBytesV2);
   if (!segment.valid()) return 3;
-  // Persistent mode needs the v2 slot region; a client that mapped only
-  // the v1 geometry gets a v1 server (and fork-per-exec semantics).
-  const bool v2 = !plan.legacy_v1 && shm_size >= kSegmentBytesV2;
-
   if (plan.no_handshake) return 7;
 
-  install_deadline_handler();
-  if (v2) {
-    const std::uint32_t hello[2] = {kHelloMagicV2, kCapPersistent};
-    if (!write_full(kStFd, hello, sizeof(hello))) return 4;
-  } else {
-    const std::uint32_t hello = kHelloMagic;
-    if (!write_full(kStFd, &hello, sizeof(hello))) return 4;
+  ServerLoopConfig config;
+  config.segment = segment.data;
+  config.persistent = true;
+  config.server_exit_at = plan.server_exit_at;
+  config.server_retire_after = plan.server_retire_after;
+  const LoopExit served = serve_fork_server(config);
+  if (served.role == LoopExit::Role::kExecChild) {
+    inject_child_faults(plan, served.exec_index);
+    run_child(target, segment.data, served.packet);
   }
-
-  // The jail travels from the fuzzing parent as environment variables and
-  // is applied inside every forked execution child — never in this server
-  // process, which must stay alive across jail-killed children.
-  const supervise::ResourceJail jail = supervise::jail_from_env();
-
-  Bytes packet;
-  PersistentChild persistent;
-  std::uint64_t exec_index = 0;
-  const int version = v2 ? 2 : 1;
-  for (;;) {
-    Request request;
-    if (!read_request(kCtlFd, version, request)) {
-      kill_persistent_child(persistent);
-      return 0;  // EOF: clean shutdown
-    }
-    const std::uint32_t timeout_ms = request.timeout_ms;
-    const std::uint32_t control = request.control;
-    const std::uint32_t length = request.length;
-    packet.resize(length);
-    if (length != 0 && !read_full(kCtlFd, packet.data(), length)) return 0;
-
-    ++exec_index;
-    if (plan.server_exit_at != 0 && exec_index == plan.server_exit_at) {
-      return 9;  // simulated fork-server crash
-    }
-
-    std::int32_t wire_status = 0;
-    std::uint32_t flags = 0;
-    std::uint32_t iteration = 0;
-    bool timed_out = false;
-
-    if ((control & kCtlPersistent) != 0) {
-      // -- Persistent iteration. ------------------------------------------
-      const std::uint32_t slot = control_slot(control);
-      std::uint32_t budget = control_budget(control);
-      if (budget == 0) budget = 1;
-      const bool fresh = !persistent.alive();
-      ctl_store(segment.data(),
-                CtlBlock{slot, fresh ? budget : persistent.budget,
-                         exec_index});
-      if (fresh) {
-        // The child zeroes each slot on its own first use (see
-        // run_persistent_child): wiping all slots here would destroy
-        // results the pipelined client has not read yet.
-        const pid_t child = ::fork();
-        if (child < 0) return 5;
-        if (child == 0) {
-          supervise::apply_in_child(jail);
-          run_persistent_child(target, segment.data(), plan);
-        }
-        persistent = PersistentChild{child, 1, budget};
-      } else {
-        ++persistent.iteration;
-        ::kill(persistent.pid, SIGCONT);
-      }
-
-      const int wstatus = await_child(persistent.pid, timeout_ms,
-                                      /*wait_stops=*/true, timed_out);
-      iteration = persistent.iteration;
-      flags = kReplyPersistent;
-      wire_status = static_cast<std::int32_t>(wstatus);
-      if (timed_out) {
-        flags |= kReplyTimedOut | encode_recycle(RecycleReason::kHang);
-        persistent.pid = -1;  // killed and reaped by await_child
-      } else if (WIFSTOPPED(wstatus)) {
-        wire_status = 0;  // iteration complete, child healthy
-      } else if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0 &&
-                 persistent.iteration >= persistent.budget) {
-        // Orderly budget exhaustion: the execution completed (aux block
-        // published) and the child retired itself.
-        wire_status = 0;
-        flags |= encode_recycle(RecycleReason::kBudget);
-        persistent.pid = -1;
-      } else {
-        // Crash: signal, abnormal exit, or an exit-0 before the budget
-        // (the target pulled the child down mid-loop).
-        flags |= encode_recycle(RecycleReason::kCrash);
-        persistent.pid = -1;
-      }
-    } else {
-      // -- Fork-per-exec (v1 semantics; also v2 requests with control 0).
-      //
-      // Pristine v1 region for the child: the map invariant (all words
-      // zero) and a magic-less aux block, whatever the previous child
-      // left behind. The slot region keeps its own invariants (each
-      // persistent child re-zeroes a slot on first use), so only the v1
-      // region is touched here.
-      std::memset(segment.data(), 0, kSegmentBytes);
-
-      const pid_t child = ::fork();
-      if (child < 0) return 5;
-      if (child == 0) {
-        supervise::apply_in_child(jail);
-        if (plan.kill_child_at != 0 && exec_index == plan.kill_child_at) {
-          ::raise(SIGKILL);
-        }
-        if (plan.segv_at != 0 && exec_index == plan.segv_at) {
-          ::raise(SIGSEGV);
-        }
-        if (plan.hang_at != 0 && exec_index == plan.hang_at) {
-          for (;;) ::pause();
-        }
-        if (plan.oom_at != 0 && exec_index == plan.oom_at) {
-          exhaust_memory();
-        }
-        run_child(target, segment.data(), packet);
-      }
-
-      // The shim enforces the wall-clock deadline itself: it is the
-      // child's parent, so between here and a successful waitpid the pid
-      // provably belongs to this child and the SIGKILL can never hit a
-      // recycled pid. A child that finishes right at the boundary is
-      // reaped normally and reported as completed, not as a hang.
-      const int wstatus = await_child(child, timeout_ms,
-                                      /*wait_stops=*/false, timed_out);
-      wire_status = static_cast<std::int32_t>(wstatus);
-      if (timed_out) flags |= kReplyTimedOut;
-    }
-
-    if (!write_reply(kStFd, version, Reply{wire_status, flags, iteration})) {
-      return 6;
-    }
-
-    if (plan.server_retire_after != 0 &&
-        exec_index >= plan.server_retire_after) {
-      // Orderly retirement: the reply above completed this execution, so
-      // the client loses nothing — its next request sees EOF plus our
-      // exit status 0 and respawns without charging a lost server.
-      kill_persistent_child(persistent);
-      return 0;
-    }
+  if (served.role == LoopExit::Role::kPersistentChild) {
+    run_persistent_child(target, segment.data, plan);
   }
+  return served.exit_code;
 }
 
 }  // namespace icsfuzz::oop

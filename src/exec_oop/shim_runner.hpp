@@ -1,19 +1,17 @@
-// Target-side half of the fork-server protocol: the request loop the shim
-// binary (tools/icsfuzz_shim_target.cpp) runs around an instrumented
+// Target-side half of the fork-server protocol for the shim binary
+// (tools/icsfuzz_shim_target.cpp): what runs around an instrumented
 // ProtocolTarget.
 //
-// Kept in the library so the protocol has exactly one implementation on
-// each side — the executor's client in fork_server.cpp, this server loop
-// here — and so future real-target harnesses can reuse it by linking
-// against their own ProtocolTarget.
+// The request loop itself — hello, requests, forks, deadlines, replies — is
+// server_loop.hpp's, shared with the injection runtime; this file supplies
+// the execution children. A fork-per-exec child (control == 0) runs one
+// packet and _exits; the persistent child runs K executions through an
+// ICSFUZZ_LOOP-style loop, raising SIGSTOP between iterations (the AFL
+// persistent-mode convention) until the server SIGCONTs it with the next
+// request. The shim always advertises the persistent capability.
 //
-// The shim speaks protocol v2 (exec_protocol.hpp) and advertises the
-// persistent capability: fork-per-exec requests (control == 0) fork one
-// child per execution exactly as v1 did, while persistent requests run K
-// executions per child through an ICSFUZZ_LOOP-style loop — the child
-// raises SIGSTOP between iterations (the AFL persistent-mode convention),
-// the shim SIGCONTs it per request, and the child is re-forked
-// automatically after a crash, a deadline kill, or budget exhaustion.
+// Kept in the library so future real-target harnesses can reuse it by
+// linking against their own ProtocolTarget.
 #pragma once
 
 #include "protocols/protocol_target.hpp"
@@ -27,10 +25,6 @@ struct ShimFaultPlan {
   /// Exit (code 7) before writing the hello — a target that never
   /// handshakes.
   bool no_handshake = false;
-  /// Speak protocol v1 (bare hello, no capability word, fork-per-exec
-  /// request format) — the handshake-negotiation tests use this to stand
-  /// in for an old shim binary.
-  bool legacy_v1 = false;
   /// On execution #N the (forked or persistent) child SIGKILLs itself
   /// mid-execution.
   std::uint64_t kill_child_at = 0;
@@ -59,9 +53,11 @@ struct ShimFaultPlan {
 /// Reads the ICSFUZZ_SHIM_* fault-injection variables.
 ShimFaultPlan shim_fault_plan_from_env();
 
-/// Attaches the shm segment named by the environment (exec_protocol.hpp),
-/// writes the hello, and serves run requests on the protocol descriptors
-/// until the control pipe closes. Returns the process exit code.
+/// Attaches the shm segment named by the environment (exec_protocol.hpp)
+/// and serves run requests on the protocol descriptors through
+/// serve_fork_server until the control pipe closes. Returns the process
+/// exit code (3: no usable segment, 7: no_handshake, otherwise the
+/// loop's).
 int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan);
 
 }  // namespace icsfuzz::oop

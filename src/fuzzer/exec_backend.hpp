@@ -8,13 +8,14 @@
 //   kInProcess   — the ProtocolTarget runs in this process under the
 //                  thread-local trace arming (fastest; the default).
 //   kForkPerExec — packets cross into a fork-server target; every
-//                  execution is one fork() inside the server (protocol v1
-//                  semantics — crash isolation for real binaries).
+//                  execution is one fork() inside the server (crash
+//                  isolation for real binaries).
 //   kPersistent  — fork-server target with ICSFUZZ_LOOP-style persistent
 //                  children: K executions per fork, packets through shm
 //                  test-case slots, SIGSTOP/SIGCONT between iterations.
-//                  An old (v1) server degrades this to fork-per-exec at
-//                  handshake time; nothing else changes.
+//                  A server whose hello lacks kCapPersistent (a preloaded
+//                  target that does not cooperate) keeps this on
+//                  fork-per-exec; nothing else changes.
 //
 // Contract of execute(): fill the observable fields of `result` (events,
 // faults, response, truncation flags) and run the map's trace

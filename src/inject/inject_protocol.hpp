@@ -48,8 +48,8 @@ inline constexpr const char* kInjectPersistentEnv = "ICSFUZZ_INJECT_PERSISTENT";
 /// kCapPersistent only when dlsym(RTLD_DEFAULT) finds this symbol — i.e.
 /// the target binary exports it (requires linking with -Wl,--export-dynamic)
 /// and drives its input loop through the __icsfuzz_persistent_loop /
-/// __icsfuzz_testcase hooks below. Targets without the marker degrade
-/// gracefully to fork-per-exec (the v2 hello simply carries caps == 0).
+/// __icsfuzz_testcase hooks below. Targets without the marker stay on
+/// fork-per-exec (the hello simply carries caps == 0).
 inline constexpr const char* kPersistentMarkerSymbol =
     "icsfuzz_persistent_target";
 
@@ -68,12 +68,12 @@ inline constexpr const char* kPersistentLoopSymbol =
     "__icsfuzz_persistent_loop";
 
 /// Info block the runtime publishes inside the (otherwise unused) tail of
-/// the v2 control block: [u32 magic][u32 version][u32 guard_count]
+/// the control block: [u32 magic][u32 version][u32 guard_count]
 /// [u32 flags]. Exec children write it after module initializers have
 /// registered their sancov guard ranges, so guard_count reports what the
 /// target actually instruments; icsfuzz-inject-check reads it back after a
-/// probe execution. A v1-sized segment has no control block and carries no
-/// info block.
+/// probe execution. The TCP session segment has no control block and
+/// carries no info block.
 inline constexpr std::size_t kInjectInfoOffset = oop::kCtlBlockOffset + 32;
 inline constexpr std::uint32_t kInjectInfoMagic = 0x494E4A31;  // "INJ1"
 inline constexpr std::uint32_t kInjectRuntimeVersion = 1;
@@ -95,9 +95,10 @@ struct InjectInfo {
   }
 };
 
-/// Reads the info block out of a v2 segment (fuzzer side, after at least
-/// one execution). `present` is false when no preload runtime wrote it —
-/// e.g. the target is a native shim, or the segment is v1-sized.
+/// Reads the info block out of a fork-server segment (fuzzer side, after
+/// at least one execution). `present` is false when no preload runtime
+/// wrote it — e.g. the target is a native shim, or the segment is too
+/// small to have a control block.
 InjectInfo read_inject_info(const std::uint8_t* segment,
                             std::size_t segment_size);
 

@@ -7,20 +7,21 @@
 // (ICSFUZZ_INJECT_MODE):
 //
 //   fork (default)  The constructor NEVER RETURNS in the spawned process:
-//                   it becomes the fork server (the target's own main()
-//                   does not run there). Each request forks a child; the
-//                   child finishes dynamic-loader initialization — which
-//                   is where the target's sancov guard tables register,
-//                   fresh and deterministic per execution — and runs the
-//                   real main() with the fuzz packet on stdin. An atexit
-//                   hook publishes the aux block on orderly exit; _exit /
-//                   signals skip it, so the missing completion magic
-//                   classifies the run as a crash, exactly like the
+//                   it runs the shim's fork-server loop
+//                   (exec_oop/server_loop.hpp), and the target's own
+//                   main() does not run there. Each request forks a child;
+//                   the child finishes dynamic-loader initialization —
+//                   which is where the target's sancov guard tables
+//                   register, fresh and deterministic per execution — and
+//                   runs the real main() with the fuzz packet on stdin. An
+//                   atexit hook publishes the aux block on orderly exit;
+//                   _exit / signals skip it, so the missing completion
+//                   magic classifies the run as a crash, exactly like the
 //                   in-tree shim. Persistent mode engages only when the
 //                   target exports icsfuzz_persistent_target and drives
 //                   __icsfuzz_persistent_loop (see inject_protocol.hpp);
-//                   otherwise the v2 hello advertises no capability and
-//                   the client degrades to fork-per-exec.
+//                   otherwise the hello advertises no capability and the
+//                   client stays on fork-per-exec.
 //
 //   tcp             The constructor returns and the target's own socket
 //                   server runs; the runtime interposes listen/accept/
@@ -44,24 +45,19 @@
 #include <poll.h>
 #include <pthread.h>
 #include <signal.h>
-#include <sys/mman.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/time.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
 
 #include "exec_oop/exec_protocol.hpp"
+#include "exec_oop/server_loop.hpp"
 #include "inject/inject_protocol.hpp"
 #include "inject/runtime_state.hpp"
 #include "session/session_wire.hpp"
-#include "supervise/resource_jail.hpp"
 
 namespace icsfuzz::inject_rt {
 namespace {
@@ -76,42 +72,21 @@ using oop::kStFd;
 std::uint8_t* g_segment = nullptr;
 std::size_t g_segment_size = 0;
 bool g_advertised_persistent = false;
-bool g_tcp_mode = false;
-
-/// Upper bound a hostile/corrupt environment cannot push us past: the v2
-/// segment is ~576 KiB, the TCP segment ~128 KiB — 1 GiB is absurd.
-constexpr std::uint64_t kMaxSegmentBytes = std::uint64_t{1} << 30;
 
 void warn(const char* what) {
-  std::fprintf(stderr, "[icsfuzz-preload] %s\n", what);
+  std::fprintf(stderr, "[icsfuzz-preload] %s; staying dormant\n", what);
 }
 
-/// Strict decimal u64 with overflow rejection (the runtime cannot lean on
-/// the host's libicsfuzz — it isn't there).
-bool parse_env_u64(const char* text, std::uint64_t& out) {
-  if (text == nullptr || *text == '\0') return false;
-  std::uint64_t value = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(*p - '0');
-    if (value > (~std::uint64_t{0} - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  out = value;
-  return true;
-}
-
-/// Publishes the inject-info block into the v2 control-block tail (magic
+/// Publishes the inject-info block into the control-block tail (magic
 /// last, behind a release fence). Called whenever fresher facts exist —
 /// guard tables register during each child's loader init, after the
-/// constructor already ran.
+/// constructor already ran. The TCP segment has no control block.
 void publish_inject_info() {
   if (g_segment_size < oop::kSegmentBytesV2) return;
   std::uint8_t* info = g_segment + inject::kInjectInfoOffset;
   std::uint32_t flags = 0;
   if (sancov_seen()) flags |= inject::kInjectFlagSancov;
   if (g_advertised_persistent) flags |= inject::kInjectFlagPersistent;
-  if (g_tcp_mode) flags |= inject::kInjectFlagTcp;
   const std::uint32_t version = inject::kInjectRuntimeVersion;
   const std::uint32_t guards = guard_total();
   std::memcpy(info + 4, &version, sizeof(version));
@@ -119,60 +94,6 @@ void publish_inject_info() {
   std::memcpy(info + 12, &flags, sizeof(flags));
   std::atomic_thread_fence(std::memory_order_release);
   std::memcpy(info, &inject::kInjectInfoMagic, sizeof(std::uint32_t));
-}
-
-// -- Deadline supervision (mirrors shim_runner.cpp). -----------------------
-
-volatile sig_atomic_t g_deadline_fired = 0;
-
-void on_deadline(int) { g_deadline_fired = 1; }
-
-/// SIGALRM without SA_RESTART so the blocking waitpid EINTRs on the tick.
-void install_deadline_handler() {
-  struct sigaction action {};
-  action.sa_handler = on_deadline;
-  ::sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  ::sigaction(SIGALRM, &action, nullptr);
-}
-
-/// Repeating interval timer (0 disarms): a one-shot could fire and be
-/// consumed before waitpid blocks; the repeat delivers another EINTR.
-void arm_deadline(std::uint32_t timeout_ms) {
-  struct itimerval timer {};
-  timer.it_value.tv_sec = timeout_ms / 1000;
-  timer.it_value.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  timer.it_interval = timer.it_value;
-  ::setitimer(ITIMER_REAL, &timer, nullptr);
-}
-
-/// waitpid with the deadline armed; SIGKILLs the child when the timer
-/// fires first. The runtime is the child's parent, so the pid cannot have
-/// been recycled before the reap.
-int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
-                bool& timed_out) {
-  g_deadline_fired = 0;
-  if (timeout_ms != 0) arm_deadline(timeout_ms);
-  int wstatus = 0;
-  timed_out = false;
-  const int options = wait_stops ? WUNTRACED : 0;
-  for (;;) {
-    const pid_t reaped = ::waitpid(child, &wstatus, options);
-    if (reaped == child) {
-      if (timed_out && WIFSTOPPED(wstatus)) continue;
-      break;
-    }
-    if (reaped < 0 && errno == EINTR) {
-      if (g_deadline_fired && !timed_out) {
-        timed_out = true;
-        ::kill(child, SIGKILL);
-      }
-      continue;
-    }
-    break;
-  }
-  arm_deadline(0);
-  return wstatus;
 }
 
 // -- Execution-child state (inside a fork child, post-fork only). ----------
@@ -183,11 +104,9 @@ constexpr std::size_t kResponseCap = std::size_t{1} << 14;
 std::uint8_t g_response[kResponseCap];
 std::uint32_t g_response_len = 0;
 
-struct ExecChild {
-  bool active = false;
-  std::uint8_t* region = nullptr;  ///< map base (v1 region or a v2 slot)
-};
-ExecChild g_exec_child;
+/// This process is a fork-per-exec child tracing into the fork-per-exec
+/// region.
+bool g_exec_child = false;
 
 /// atexit hook of a fork-per-exec child: harvest the trace and publish the
 /// aux block. Registered before the target's own handlers, so it runs
@@ -195,16 +114,14 @@ ExecChild g_exec_child;
 /// _exit()/abort()/signals skip atexit entirely: no completion magic, and
 /// the client classifies the run as a crash.
 void publish_exec_aux() {
-  if (!g_exec_child.active) return;
+  if (!g_exec_child) return;
   oop::AuxResult result;
   result.events = trace_events();
   if (g_response_len != 0) {
     result.response.assign(g_response, g_response + g_response_len);
   }
   trace_disarm();
-  // The aux block follows the map at the same offset in the v1 region and
-  // in every v2 slot (kAuxOffset == kSlotAuxOffset == cov::kMapSize).
-  oop::aux_store(g_exec_child.region + cov::kMapSize, kAuxBytes, result);
+  oop::aux_store(g_segment + kAuxOffset, kAuxBytes, result);
   publish_inject_info();
 }
 
@@ -265,7 +182,10 @@ void publish_iteration_aux() {
   oop::aux_store(slot_base + oop::kSlotAuxOffset, kAuxBytes, result);
 }
 
-// -- Fork-server parent loop (never returns). ------------------------------
+// -- Fork-per-exec hook of the shared server loop. -------------------------
+
+/// Read end of the running fork-per-exec child's stdout pipe (server side).
+int g_child_stdout = -1;
 
 /// Writes what fits without blocking; the rest is finished after fork (the
 /// child is the reader, so a pre-fork full-pipe write would deadlock).
@@ -284,69 +204,15 @@ std::size_t write_some_nonblocking(int fd, const std::uint8_t* data,
   return off;
 }
 
-/// Drains the reaped child's captured stdout and, when the child published
-/// a complete aux block without a cooperative response, re-stores the block
-/// with the stdout bytes as the response. A crashed/killed child left no
-/// completion magic — its stdout is discarded along with the run.
-void harvest_child_stdout(int fd, std::uint8_t* region) {
-  static std::uint8_t captured[kResponseCap];
-  std::size_t total = 0;
-  bool truncated = false;
-  for (;;) {
-    std::uint8_t sink[4096];
-    std::uint8_t* dst = total < kResponseCap ? captured + total : sink;
-    const std::size_t room =
-        total < kResponseCap ? kResponseCap - total : sizeof(sink);
-    const ssize_t n = ::read(fd, dst, room);
-    if (n > 0) {
-      if (total < kResponseCap) {
-        total += static_cast<std::size_t>(n);
-      } else {
-        truncated = true;  // kept draining only to learn this
-      }
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    break;  // EOF, EAGAIN (a live grandchild still holds the pipe), error
-  }
-  if (total == 0) return;
-  std::uint8_t* aux = region + cov::kMapSize;
-  oop::AuxResult result;
-  if (!oop::aux_load(aux, kAuxBytes, result)) return;
-  if (!result.response.empty()) return;  // cooperative response wins
-  result.response.assign(captured, captured + total);
-  result.response_truncated = truncated;
-  oop::aux_store(aux, kAuxBytes, result);
-}
-
-struct PersistentParent {
-  pid_t pid = -1;
-  std::uint32_t iteration = 0;
-  std::uint32_t budget = 0;
-
-  [[nodiscard]] bool alive() const { return pid > 0; }
-};
-
-void kill_persistent_child(PersistentParent& child) {
-  if (!child.alive()) return;
-  ::kill(child.pid, SIGKILL);
-  int wstatus = 0;
-  while (::waitpid(child.pid, &wstatus, 0) < 0 && errno == EINTR) {
-  }
-  child.pid = -1;
-}
-
 /// Forks one execution child that runs the target's real main() with
-/// `packet` on stdin, tracing into `region` (v1 base or a v2 slot base —
-/// caller memset it). Returns true from THE CHILD, which must let the
-/// constructor return so the dynamic loader finishes initialization (the
-/// target's sancov guard tables register there) and main() runs. In the
-/// parent, fills wstatus/timed_out.
-bool fork_exec_child(const supervise::ResourceJail& jail,
-                     std::uint8_t* region, const std::vector<std::uint8_t>& packet,
-                     std::uint32_t timeout_ms, int& wstatus, bool& timed_out) {
+/// `packet` on stdin and its stdout on a pipe. Returns 0 in THE CHILD,
+/// which lets the constructor return so the dynamic loader finishes
+/// initialization (the target's sancov guard tables register there) and
+/// main() runs.
+pid_t fork_exec_child(ByteSpan packet, std::uint32_t timeout_ms,
+                      bool& deadline_spent) {
   int stdin_pipe[2];
-  if (::pipe(stdin_pipe) != 0) ::_exit(5);
+  if (::pipe(stdin_pipe) != 0) return -1;
   const int rfd = stdin_pipe[0];
   const int wfd = stdin_pipe[1];
   ::fcntl(wfd, F_SETFL, O_NONBLOCK);
@@ -359,10 +225,10 @@ bool fork_exec_child(const supervise::ResourceJail& jail,
   // a target flooding past the pipe buffer blocks and the deadline turns
   // that into a hang — defensible for a filter-style program.
   int stdout_pipe[2];
-  if (::pipe(stdout_pipe) != 0) ::_exit(5);
+  if (::pipe(stdout_pipe) != 0) return -1;
 
   const pid_t child = ::fork();
-  if (child < 0) ::_exit(5);
+  if (child < 0) return -1;
   if (child == 0) {
     ::close(wfd);
     ::close(stdout_pipe[0]);
@@ -370,19 +236,13 @@ bool fork_exec_child(const supervise::ResourceJail& jail,
     if (rfd != STDIN_FILENO) ::close(rfd);
     ::dup2(stdout_pipe[1], STDOUT_FILENO);
     if (stdout_pipe[1] != STDOUT_FILENO) ::close(stdout_pipe[1]);
-    supervise::apply_in_child(jail);
-    g_exec_child.active = true;
-    g_exec_child.region = region;
-    g_response_len = 0;
-    trace_arm(region);
-    std::atexit(publish_exec_aux);
-    return true;
+    return 0;
   }
 
   ::close(rfd);
   ::close(stdout_pipe[1]);
   ::fcntl(stdout_pipe[0], F_SETFL, O_NONBLOCK);
-  bool stdin_stalled = false;
+  g_child_stdout = stdout_pipe[0];
   if (pre_written < packet.size()) {
     const oop::ReadStatus st = oop::write_full_deadline(
         wfd, packet.data() + pre_written, packet.size() - pre_written,
@@ -391,168 +251,88 @@ bool fork_exec_child(const supervise::ResourceJail& jail,
       // The child never drained its input inside the deadline: a hang by
       // definition, whatever it was doing instead.
       ::kill(child, SIGKILL);
-      stdin_stalled = true;
+      deadline_spent = true;
     }
     // kClosed (EPIPE) means the child exited without reading everything —
-    // await_child below reports how.
+    // the server loop's reap reports how.
   }
   ::close(wfd);
-  wstatus = await_child(child, stdin_stalled ? 0 : timeout_ms,
-                        /*wait_stops=*/false, timed_out);
-  if (stdin_stalled) timed_out = true;
-  harvest_child_stdout(stdout_pipe[0], region);
-  ::close(stdout_pipe[0]);
-  return false;
+  return child;
 }
 
-/// The fork-server request loop, entered from the constructor and never
-/// left in the parent. Returns (true) only inside a freshly forked child,
-/// which then continues loader init toward the target's main().
-bool fork_server_loop() {
-  const bool v2 = g_segment_size >= oop::kSegmentBytesV2;
-  bool persistent_ok = false;
-  if (v2) {
-    const char* veto = std::getenv(inject::kInjectPersistentEnv);
-    const bool vetoed = veto != nullptr && std::strcmp(veto, "0") == 0;
-    // Persistent mode is a cooperation contract, not something a preload
-    // can impose: only a target exporting the marker (and driving
-    // __icsfuzz_persistent_loop) gets the capability advertised. Everyone
-    // else degrades to fork-per-exec by construction.
-    persistent_ok =
-        !vetoed &&
-        ::dlsym(RTLD_DEFAULT, inject::kPersistentMarkerSymbol) != nullptr;
-  }
-  g_advertised_persistent = persistent_ok;
-
-  if (v2) {
-    const std::uint32_t hello[2] = {oop::kHelloMagicV2,
-                                    persistent_ok ? oop::kCapPersistent : 0};
-    if (!oop::write_full(kStFd, hello, sizeof(hello))) ::_exit(4);
-  } else {
-    const std::uint32_t hello = oop::kHelloMagic;
-    if (!oop::write_full(kStFd, &hello, sizeof(hello))) ::_exit(4);
-  }
-
-  install_deadline_handler();
-  const supervise::ResourceJail jail = supervise::jail_from_env();
-
-  std::vector<std::uint8_t> packet;
-  PersistentParent persistent;
-  std::uint64_t exec_index = 0;
-  const int version = v2 ? 2 : 1;
+/// Drains the reaped child's captured stdout and, when the child published
+/// a complete aux block without a cooperative response, re-stores the block
+/// with the stdout bytes as the response. A crashed/killed child left no
+/// completion magic — its stdout is discarded along with the run.
+void harvest_child_stdout() {
+  static std::uint8_t captured[kResponseCap];
+  std::size_t total = 0;
+  bool truncated = false;
   for (;;) {
-    oop::Request request;
-    if (!oop::read_request(kCtlFd, version, request)) {
-      kill_persistent_child(persistent);
-      ::_exit(0);  // EOF: orderly shutdown, target's main never runs here
-    }
-    const std::uint32_t timeout_ms = request.timeout_ms;
-    const std::uint32_t control = request.control;
-    const std::uint32_t length = request.length;
-    if (length > kMaxSegmentBytes) ::_exit(5);
-    packet.resize(length);
-    if (length != 0 && !oop::read_full(kCtlFd, packet.data(), length)) {
-      ::_exit(0);
-    }
-    ++exec_index;
-
-    std::int32_t wire_status = 0;
-    std::uint32_t flags = 0;
-    std::uint32_t iteration = 0;
-    bool timed_out = false;
-
-    if ((control & oop::kCtlPersistent) != 0 && persistent_ok) {
-      // -- Persistent iteration (cooperating target). ---------------------
-      const std::uint32_t slot = oop::control_slot(control);
-      std::uint32_t budget = oop::control_budget(control);
-      if (budget == 0) budget = 1;
-      const bool fresh = !persistent.alive();
-      oop::ctl_store(g_segment,
-                     oop::CtlBlock{slot, fresh ? budget : persistent.budget,
-                                   exec_index});
-      if (fresh) {
-        const pid_t child = ::fork();
-        if (child < 0) ::_exit(5);
-        if (child == 0) {
-          supervise::apply_in_child(jail);
-          g_pchild.active = true;
-          g_response_len = 0;
-          // Loader init continues to main(); the target drives iterations
-          // through __icsfuzz_persistent_loop below.
-          return true;
-        }
-        persistent = PersistentParent{child, 1, budget};
+    std::uint8_t sink[4096];
+    std::uint8_t* dst = total < kResponseCap ? captured + total : sink;
+    const std::size_t room =
+        total < kResponseCap ? kResponseCap - total : sizeof(sink);
+    const ssize_t n = ::read(g_child_stdout, dst, room);
+    if (n > 0) {
+      if (total < kResponseCap) {
+        total += static_cast<std::size_t>(n);
       } else {
-        ++persistent.iteration;
-        ::kill(persistent.pid, SIGCONT);
+        truncated = true;  // kept draining only to learn this
       }
-
-      const int wstatus = await_child(persistent.pid, timeout_ms,
-                                      /*wait_stops=*/true, timed_out);
-      iteration = persistent.iteration;
-      flags = oop::kReplyPersistent;
-      wire_status = static_cast<std::int32_t>(wstatus);
-      if (timed_out) {
-        flags |= oop::kReplyTimedOut |
-                 oop::encode_recycle(oop::RecycleReason::kHang);
-        persistent.pid = -1;
-      } else if (WIFSTOPPED(wstatus)) {
-        wire_status = 0;
-      } else if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0 &&
-                 persistent.iteration >= persistent.budget) {
-        wire_status = 0;
-        flags |= oop::encode_recycle(oop::RecycleReason::kBudget);
-        persistent.pid = -1;
-      } else {
-        flags |= oop::encode_recycle(oop::RecycleReason::kCrash);
-        persistent.pid = -1;
-      }
-    } else if ((control & oop::kCtlPersistent) != 0) {
-      // -- Persistent requested, target not cooperating: serve it as a
-      // budget-1 persistent child — a fresh fork whose packet comes from
-      // the slot (stdin) and whose results land in the slot. The reply
-      // says "budget recycle at iteration 1", so a client that raced the
-      // capability handshake still gets correct semantics, just at
-      // fork-per-exec cost.
-      const std::uint32_t slot = oop::control_slot(control);
-      std::uint8_t* slot_base = g_segment + oop::slot_offset(slot);
-      std::memset(slot_base, 0, cov::kMapSize + kAuxBytes);
-      const auto slot_packet = oop::slot_load_packet(g_segment, slot);
-      std::vector<std::uint8_t> slot_bytes(slot_packet.begin(),
-                                           slot_packet.end());
-      int wstatus = 0;
-      if (fork_exec_child(jail, slot_base, slot_bytes, timeout_ms, wstatus,
-                          timed_out)) {
-        return true;  // the child: continue to main()
-      }
-      iteration = 1;
-      flags = oop::kReplyPersistent;
-      wire_status = static_cast<std::int32_t>(wstatus);
-      if (timed_out) {
-        flags |= oop::kReplyTimedOut |
-                 oop::encode_recycle(oop::RecycleReason::kHang);
-      } else if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0) {
-        wire_status = 0;
-        flags |= oop::encode_recycle(oop::RecycleReason::kBudget);
-      } else {
-        flags |= oop::encode_recycle(oop::RecycleReason::kCrash);
-      }
-    } else {
-      // -- Fork-per-exec over the v1 region. ------------------------------
-      std::memset(g_segment, 0, oop::kSegmentBytes);
-      int wstatus = 0;
-      if (fork_exec_child(jail, g_segment, packet, timeout_ms, wstatus,
-                          timed_out)) {
-        return true;  // the child: continue to main()
-      }
-      wire_status = static_cast<std::int32_t>(wstatus);
-      if (timed_out) flags |= oop::kReplyTimedOut;
+      continue;
     }
+    if (n < 0 && errno == EINTR) continue;
+    break;  // EOF, EAGAIN (a live grandchild still holds the pipe), error
+  }
+  ::close(g_child_stdout);
+  g_child_stdout = -1;
+  if (total == 0) return;
+  std::uint8_t* aux = g_segment + kAuxOffset;
+  oop::AuxResult result;
+  if (!oop::aux_load(aux, kAuxBytes, result)) return;
+  if (!result.response.empty()) return;  // cooperative response wins
+  result.response.assign(captured, captured + total);
+  result.response_truncated = truncated;
+  oop::aux_store(aux, kAuxBytes, result);
+}
 
-    if (!oop::write_reply(kStFd, version,
-                          oop::Reply{wire_status, flags, iteration})) {
-      ::_exit(6);
-    }
+constexpr oop::ExecForkHook kExecForkHook{fork_exec_child,
+                                          harvest_child_stdout};
+
+/// Fork mode: the server lives (and dies) inside this call. Only a freshly
+/// forked execution or persistent child returns, continuing loader
+/// initialization toward the target's main().
+void run_fork_server() {
+  const char* veto = std::getenv(inject::kInjectPersistentEnv);
+  const bool vetoed = veto != nullptr && std::strcmp(veto, "0") == 0;
+  // Persistent mode is a cooperation contract, not something a preload
+  // can impose: only a target exporting the marker (and driving
+  // __icsfuzz_persistent_loop) gets the capability advertised. Everyone
+  // else stays on fork-per-exec.
+  g_advertised_persistent =
+      !vetoed &&
+      ::dlsym(RTLD_DEFAULT, inject::kPersistentMarkerSymbol) != nullptr;
+
+  oop::ServerLoopConfig config;
+  config.segment = g_segment;
+  config.persistent = g_advertised_persistent;
+  config.exec_fork = &kExecForkHook;
+  const oop::LoopExit served = oop::serve_fork_server(config);
+  switch (served.role) {
+    case oop::LoopExit::Role::kServer:
+      ::_exit(served.exit_code);  // the target's main never runs here
+    case oop::LoopExit::Role::kExecChild:
+      g_exec_child = true;
+      g_response_len = 0;
+      trace_arm(g_segment);
+      std::atexit(publish_exec_aux);
+      return;
+    case oop::LoopExit::Role::kPersistentChild:
+      // The target drives iterations through __icsfuzz_persistent_loop.
+      g_pchild.active = true;
+      g_response_len = 0;
+      return;
   }
 }
 
@@ -647,37 +427,18 @@ __attribute__((constructor)) void icsfuzz_inject_init() {
   const char* shm_name = std::getenv(oop::kShmNameEnv);
   if (shm_name == nullptr || *shm_name == '\0') return;  // dormant
 
-  std::uint64_t shm_size = 0;
-  if (!parse_env_u64(std::getenv(oop::kShmSizeEnv), shm_size) ||
-      shm_size < oop::kSegmentBytes || shm_size > kMaxSegmentBytes) {
-    warn("invalid ICSFUZZ_OOP_SHM_SIZE; staying dormant");
-    return;
-  }
-  const int fd = ::shm_open(shm_name, O_RDWR, 0);
-  if (fd < 0) {
-    warn("shm_open failed; staying dormant");
-    return;
-  }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0 ||
-      static_cast<std::uint64_t>(st.st_size) < shm_size) {
-    warn("shm object smaller than ICSFUZZ_OOP_SHM_SIZE; staying dormant");
-    ::close(fd);
-    return;
-  }
-  void* mapped = ::mmap(nullptr, static_cast<std::size_t>(shm_size),
-                        PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ::close(fd);
-  if (mapped == MAP_FAILED) {
-    warn("mmap failed; staying dormant");
-    return;
-  }
-  g_segment = static_cast<std::uint8_t*>(mapped);
-  g_segment_size = static_cast<std::size_t>(shm_size);
-
   const char* mode = std::getenv(inject::kInjectModeEnv);
   const bool tcp = mode != nullptr &&
                    std::strcmp(mode, inject::kInjectModeTcp) == 0;
+  const oop::AttachedSegment segment = oop::attach_segment(
+      shm_name, std::getenv(oop::kShmSizeEnv),
+      tcp ? session::kTcpSegmentBytes : oop::kSegmentBytesV2);
+  if (!segment.valid()) {
+    warn(segment.error);
+    return;
+  }
+  g_segment = segment.data;
+  g_segment_size = segment.size;
 
   // Processes the *target* spawns must not re-enter the protocol: scrub
   // the attach variables now that they are consumed. LD_PRELOAD may stay —
@@ -690,10 +451,7 @@ __attribute__((constructor)) void icsfuzz_inject_init() {
     tcp_init();
     return;  // the target's own main() serves; interposers do the wire
   }
-  // Fork mode: the parent lives (and dies) inside this call. Only a
-  // freshly forked execution/persistent child returns, continuing loader
-  // initialization toward the target's main().
-  (void)fork_server_loop();
+  run_fork_server();
 }
 
 }  // namespace

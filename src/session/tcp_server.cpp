@@ -8,16 +8,14 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "coverage/instrument.hpp"
 #include "exec_oop/exec_protocol.hpp"
-#include "exec_oop/shm_segment.hpp"
+#include "exec_oop/server_loop.hpp"
 #include "sanitizer/fault.hpp"
 #include "session/reassembler.hpp"
 #include "session/session_wire.hpp"
-#include "util/strings.hpp"
 
 namespace icsfuzz::session {
 
@@ -126,23 +124,8 @@ int accept_client(int listen_fd) {
 }  // namespace
 
 int run_tcp_session_server(ProtocolTarget& target, Framing framing) {
-  const char* shm_name = std::getenv(oop::kShmNameEnv);
-  const char* shm_size_text = std::getenv(oop::kShmSizeEnv);
-  // The size comes from the environment — i.e. from whatever spawned us —
-  // so it gets the same distrust as network input: a checked parse (no
-  // strtoull garbage-as-0), a floor of the segment layout this server
-  // writes to, and a 1 GiB ceiling so a corrupt value cannot turn the mmap
-  // into an address-space grab.
-  constexpr std::uint64_t kMaxShmBytes = std::uint64_t{1} << 30;
-  const std::optional<std::uint64_t> shm_size =
-      shm_size_text != nullptr ? parse_u64(shm_size_text)
-                               : std::nullopt;
-  if (shm_name == nullptr || !shm_size || *shm_size < kTcpSegmentBytes ||
-      *shm_size > kMaxShmBytes) {
-    return 3;
-  }
-  oop::ShmSegment segment =
-      oop::ShmSegment::attach(shm_name, static_cast<std::size_t>(*shm_size));
+  const oop::AttachedSegment segment =
+      oop::attach_segment_from_env(kTcpSegmentBytes);
   if (!segment.valid()) return 3;
 
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -177,7 +160,7 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing) {
 
   // The whole-map memset runs once; later sessions sparse-clear through
   // the dirty list (the begin_execution analogue).
-  std::memset(segment.data(), 0, cov::kMapSize);
+  std::memset(segment.data, 0, cov::kMapSize);
   static cov::DirtyWordList dirty;
   dirty.count = 0;
   std::uint64_t served = 0;
@@ -195,7 +178,7 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing) {
       status = 9;
       break;
     }
-    if (!serve_session(target, framing, conn, stream_len, segment.data(),
+    if (!serve_session(target, framing, conn, stream_len, segment.data,
                        dirty, served, sessions)) {
       status = 8;
       break;

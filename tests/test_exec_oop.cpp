@@ -6,8 +6,8 @@
 // built-in differential oracle this suite enforces, mirroring the
 // three-way matrix style of test_coverage_sparse.cpp:
 //
-//   * ShmSegment unit behaviour (named create/attach round trip, early
-//     unlink keeping mappings valid, the anonymous fallback),
+//   * ShmSegment unit behaviour (named create + attach_segment round trip,
+//     early unlink keeping mappings valid, the anonymous fallback),
 //   * CoverageMap::adopt_external vs in-process tracing of identical
 //     patterns (trace bytes, dirty list, fused summary, accumulation),
 //   * single executions of every project's server: trace hash, edge
@@ -20,6 +20,7 @@
 //     auto-distill, ParallelCampaign at W=2) bit-identical across all
 //     three ExecBackend kinds.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <cstring>
@@ -31,6 +32,7 @@
 #include "coverage/dense_ref.hpp"
 #include "exec_oop/exec_protocol.hpp"
 #include "exec_oop/oop_executor.hpp"
+#include "exec_oop/server_loop.hpp"
 #include "exec_oop/shm_segment.hpp"
 #include "fuzzer/fuzzer.hpp"
 #include "model/instantiation.hpp"
@@ -84,30 +86,34 @@ TEST(ShmSegment, NamedCreateAttachRoundTrip) {
   created.data()[0] = 0xAB;
   created.data()[65535] = 0xCD;
 
-  oop::ShmSegment attached = oop::ShmSegment::attach(created.name(), 1 << 16);
-  ASSERT_TRUE(attached.valid()) << attached.error();
-  EXPECT_EQ(attached.data()[0], 0xAB);
-  EXPECT_EQ(attached.data()[65535], 0xCD);
+  const oop::AttachedSegment attached =
+      oop::attach_segment(created.name().c_str(), "65536", 0);
+  ASSERT_TRUE(attached.valid()) << attached.error;
+  EXPECT_EQ(attached.data[0], 0xAB);
+  EXPECT_EQ(attached.data[65535], 0xCD);
 
   // Writes propagate both ways through the shared pages.
-  attached.data()[100] = 0x55;
+  attached.data[100] = 0x55;
   EXPECT_EQ(created.data()[100], 0x55);
+  ::munmap(attached.data, attached.size);
 }
 
 TEST(ShmSegment, EarlyUnlinkKeepsMappingsValid) {
   oop::ShmSegment created = oop::ShmSegment::create(4096);
   ASSERT_TRUE(created.valid()) << created.error();
   ASSERT_TRUE(created.named());
-  oop::ShmSegment attached = oop::ShmSegment::attach(created.name(), 4096);
-  ASSERT_TRUE(attached.valid()) << attached.error();
+  const oop::AttachedSegment attached =
+      oop::attach_segment(created.name().c_str(), "4096", 0);
+  ASSERT_TRUE(attached.valid()) << attached.error;
 
   const std::string name = created.name();
   created.unlink_name();
   // The name is gone from the namespace...
-  EXPECT_FALSE(oop::ShmSegment::attach(name, 4096).valid());
+  EXPECT_FALSE(oop::attach_segment(name.c_str(), "4096", 0).valid());
   // ...but both existing mappings still share pages.
   created.data()[7] = 0x77;
-  EXPECT_EQ(attached.data()[7], 0x77);
+  EXPECT_EQ(attached.data[7], 0x77);
+  ::munmap(attached.data, attached.size);
 }
 
 TEST(ShmSegment, AnonymousFallback) {

@@ -3,8 +3,8 @@
 // The shim binary honours ICSFUZZ_SHIM_* environment knobs that inject
 // deterministic failures (exec_oop/shim_runner.hpp): a child SIGKILLed
 // mid-execution, a target that never handshakes, a child hanging into the
-// wall-clock deadline, the fork-server process itself dying, an orderly
-// server retirement, and a legacy v1 shim. This suite drives each of them
+// wall-clock deadline, the fork-server process itself dying, and an
+// orderly server retirement. This suite drives each of them
 // — plus an shm unlink race and a missing binary — across BOTH
 // out-of-process backends (fork-per-exec and persistent) where the fault
 // applies, and asserts the executor reports the right status while the
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "exec_oop/fork_server.hpp"
 #include "exec_oop/oop_executor.hpp"
 #include "fuzzer/fuzzer.hpp"
 #include "pits/pits.hpp"
@@ -123,6 +124,21 @@ TEST(ForkServerFaults, TargetThatNeverHandshakesReportsServerLost) {
   ASSERT_NE(executor.oop_backend(), nullptr);
   EXPECT_FALSE(executor.oop_backend()->last_error().empty());
   EXPECT_FALSE(executor.oop_backend()->server_running());
+}
+
+TEST(ForkServerFaults, BareMagicHelloFailsTheHandshake) {
+  // A server that writes only the old bare magic 0x49435346 (the bytes
+  // "FSCI" on a little-endian host) and no capability word is not spoken
+  // to: the handshake fails at once as a bad hello instead of waiting for
+  // a capability word that never comes.
+  oop::ForkServer server;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(server.start(
+      {"/bin/sh", "-c", "printf FSCI > /proc/self/fd/199; exec sleep 30"}, {},
+      10000));
+  EXPECT_EQ(server.error(), "fork server sent a bad hello");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_FALSE(server.running());
 }
 
 TEST(ForkServerFaults, MissingBinaryReportsServerLost) {
@@ -315,38 +331,6 @@ TEST(ForkServerFaults, OrderlyServerRetirementIsNotALostServer) {
     EXPECT_EQ(snap.counter(telem::Counter::kOopServerExits), 2u);
     EXPECT_EQ(snap.counter(telem::Counter::kOopRestarts), 2u);
   }
-}
-
-TEST(ForkServerFaults, LegacyV1ShimDegradesPersistentToForkPerExec) {
-  // Handshake version negotiation: a persistent-mode fuzzer against an old
-  // (v1) shim — which advertises no capability word at all — must degrade
-  // gracefully to fork-per-exec, with results still bit-identical.
-  ScopedEnv knob("ICSFUZZ_SHIM_LEGACY_V1", "1");
-  const std::unique_ptr<ProtocolTarget> placeholder =
-      proto::target_factory("libmodbus")();
-  const std::unique_ptr<ProtocolTarget> reference_target =
-      proto::target_factory("libmodbus")();
-
-  fuzz::Executor executor(oop_config(fuzz::BackendKind::kPersistent));
-  fuzz::Executor reference;
-
-  for (int i = 0; i < 4; ++i) {
-    const fuzz::ExecResult result = executor.run(*placeholder, kPacket);
-    const fuzz::ExecResult expected =
-        reference.run(*reference_target, kPacket);
-    EXPECT_FALSE(result.crashed()) << "execution " << i;
-    EXPECT_EQ(result.trace_hash, expected.trace_hash) << "execution " << i;
-    EXPECT_EQ(result.events, expected.events) << "execution " << i;
-    EXPECT_EQ(result.response, expected.response) << "execution " << i;
-  }
-  const oop::OutOfProcessExecutor* backend = executor.oop_backend();
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->server().protocol_version(), 1);
-  EXPECT_TRUE(backend->persistent_requested());
-  EXPECT_FALSE(backend->persistent_active())
-      << "a v1 server cannot serve persistent executions";
-  EXPECT_EQ(backend->child_recycles(), 0u);
-  EXPECT_EQ(backend->server_restarts(), 0u);
 }
 
 TEST(ForkServerFaults, CampaignKeepsRunningThroughChildDeaths) {

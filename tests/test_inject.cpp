@@ -11,7 +11,8 @@
 //     but crash/hang/OOM classification still exact,
 //   * fault differential: the classification of the demo's deliberate
 //     fault endpoints is bit-for-bit the shim's at the ExecResult level
-//     (same FaultKind, same site, same detail string) — the shim's
+//     (same FaultKind, same site, same detail string), under fork-per-exec
+//     and under persistent mode alike — the shim's
 //     ICSFUZZ_SHIM_SEGV_AT knob exists precisely so its crash arm dies on
 //     the same signal 11 the demo's null write does.
 //
@@ -30,7 +31,9 @@
 #include <vector>
 
 #include "coverage/coverage_map.hpp"
+#include "exec_oop/fork_server.hpp"
 #include "exec_oop/oop_executor.hpp"
+#include "exec_oop/shm_segment.hpp"
 #include "fuzzer/executor.hpp"
 #include "inject/inject_protocol.hpp"
 #include "protocols/target_registry.hpp"
@@ -188,6 +191,28 @@ TEST(Inject, PersistentOptOutDegradesToForkPerExec) {
   EXPECT_GT(outcome.aux.events, 0u);
 }
 
+TEST(Inject, PersistentRequestWithoutCapabilityIsRefused) {
+  // The client never sends a persistent request to a server whose hello
+  // did not offer the capability; a server that receives one refuses it
+  // (exit 5, like an oversized request) instead of emulating it.
+  ScopedEnv knob("ICSFUZZ_INJECT_PERSISTENT", "0");
+  oop::ShmSegment segment = oop::ShmSegment::create(oop::kSegmentBytesV2);
+  ASSERT_TRUE(segment.named()) << segment.error();
+  std::vector<std::string> env = {
+      std::string(oop::kShmNameEnv) + "=" + segment.name(),
+      std::string(oop::kShmSizeEnv) + "=" + std::to_string(segment.size())};
+  inject::append_preload_env(preload_path(), inject::kInjectModeFork, env);
+
+  oop::ForkServer server;
+  ASSERT_TRUE(server.start(demo_cmd(), env, kGenerousTimeoutMs))
+      << server.error();
+  EXPECT_FALSE(server.persistent_capable());
+  ASSERT_TRUE(oop::slot_store_packet(segment.data(), 0, kBenign));
+  const oop::ForkServer::RunOutcome outcome =
+      server.run_persistent(oop::encode_control(0, 8), kGenerousTimeoutMs);
+  EXPECT_EQ(outcome.kind, oop::ForkServer::RunOutcome::Kind::kServerLost);
+}
+
 // -- Plain demo: no instrumentation, fault-driven only. -------------------
 
 TEST(Inject, UninstrumentedBinaryRunsFaultDriven) {
@@ -227,10 +252,16 @@ fuzz::ExecResult classify(const fuzz::ExecBackendConfig& backend,
   return executor.run(*placeholder, packet);
 }
 
-fuzz::ExecBackendConfig demo_backend(int timeout_ms,
+/// The two out-of-process backend kinds each differential covers: the
+/// demo's fork-per-exec main() and its cooperative persistent loop, against
+/// the shim's fork-per-exec child and its persistent child.
+const fuzz::BackendKind kOopKinds[] = {fuzz::BackendKind::kForkPerExec,
+                                       fuzz::BackendKind::kPersistent};
+
+fuzz::ExecBackendConfig demo_backend(fuzz::BackendKind kind, int timeout_ms,
                                      std::uint64_t jail_mb = 0) {
   fuzz::ExecBackendConfig backend;
-  backend.kind = fuzz::BackendKind::kForkPerExec;
+  backend.kind = kind;
   backend.target_cmd = demo_cmd();
   backend.preload = preload_path();
   backend.exec_timeout_ms = timeout_ms;
@@ -238,10 +269,10 @@ fuzz::ExecBackendConfig demo_backend(int timeout_ms,
   return backend;
 }
 
-fuzz::ExecBackendConfig shim_backend(int timeout_ms,
+fuzz::ExecBackendConfig shim_backend(fuzz::BackendKind kind, int timeout_ms,
                                      std::uint64_t jail_mb = 0) {
   fuzz::ExecBackendConfig backend;
-  backend.kind = fuzz::BackendKind::kForkPerExec;
+  backend.kind = kind;
   backend.target_cmd = shim_cmd();
   backend.exec_timeout_ms = timeout_ms;
   backend.jail.address_space_mb = jail_mb;
@@ -264,42 +295,53 @@ TEST(InjectDifferential, CrashClassificationMatchesShim) {
   // The shim arm raises SIGSEGV on execution 1 via the fault plan; the
   // demo arm's FC 0x66 does a real null write. Both die on signal 11, so
   // the synthetic crash fault must match down to the detail string.
-  const fuzz::ExecResult demo =
-      classify(demo_backend(kGenerousTimeoutMs), fault_frame(kFaultCrash));
-  fuzz::ExecResult shim;
-  {
-    ScopedEnv knob("ICSFUZZ_SHIM_SEGV_AT", "1");
-    shim = classify(shim_backend(kGenerousTimeoutMs), kBenign);
+  for (const fuzz::BackendKind kind : kOopKinds) {
+    SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
+    const fuzz::ExecResult demo = classify(
+        demo_backend(kind, kGenerousTimeoutMs), fault_frame(kFaultCrash));
+    fuzz::ExecResult shim;
+    {
+      ScopedEnv knob("ICSFUZZ_SHIM_SEGV_AT", "1");
+      shim = classify(shim_backend(kind, kGenerousTimeoutMs), kBenign);
+    }
+    ASSERT_TRUE(demo.crashed());
+    expect_same_classification(demo, shim);
   }
-  ASSERT_TRUE(demo.crashed());
-  expect_same_classification(demo, shim);
 }
 
 TEST(InjectDifferential, HangClassificationMatchesShim) {
-  const fuzz::ExecResult demo =
-      classify(demo_backend(kHangTimeoutMs), fault_frame(kFaultHang));
-  fuzz::ExecResult shim;
-  {
-    ScopedEnv knob("ICSFUZZ_SHIM_HANG_AT", "1");
-    shim = classify(shim_backend(kHangTimeoutMs), kBenign);
+  for (const fuzz::BackendKind kind : kOopKinds) {
+    SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
+    const fuzz::ExecResult demo = classify(demo_backend(kind, kHangTimeoutMs),
+                                           fault_frame(kFaultHang));
+    fuzz::ExecResult shim;
+    {
+      ScopedEnv knob("ICSFUZZ_SHIM_HANG_AT", "1");
+      shim = classify(shim_backend(kind, kHangTimeoutMs), kBenign);
+    }
+    ASSERT_TRUE(demo.crashed());
+    expect_same_classification(demo, shim);
   }
-  ASSERT_TRUE(demo.crashed());
-  expect_same_classification(demo, shim);
 }
 
 TEST(InjectDifferential, OomClassificationMatchesShim) {
   // Both arms run under the same 256 MiB address-space jail; both exit
   // through the jail's allocation-failure code, never a raw bad_alloc.
   constexpr std::uint64_t kJailMb = 256;
-  const fuzz::ExecResult demo = classify(
-      demo_backend(kGenerousTimeoutMs, kJailMb), fault_frame(kFaultOom));
-  fuzz::ExecResult shim;
-  {
-    ScopedEnv knob("ICSFUZZ_SHIM_OOM_AT", "1");
-    shim = classify(shim_backend(kGenerousTimeoutMs, kJailMb), kBenign);
+  for (const fuzz::BackendKind kind : kOopKinds) {
+    SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
+    const fuzz::ExecResult demo =
+        classify(demo_backend(kind, kGenerousTimeoutMs, kJailMb),
+                 fault_frame(kFaultOom));
+    fuzz::ExecResult shim;
+    {
+      ScopedEnv knob("ICSFUZZ_SHIM_OOM_AT", "1");
+      shim = classify(shim_backend(kind, kGenerousTimeoutMs, kJailMb),
+                      kBenign);
+    }
+    ASSERT_TRUE(demo.crashed());
+    expect_same_classification(demo, shim);
   }
-  ASSERT_TRUE(demo.crashed());
-  expect_same_classification(demo, shim);
 }
 
 // -- TCP interposition mode: the demo's own --serve loop as a session

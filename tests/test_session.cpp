@@ -711,16 +711,17 @@ TEST(SessionCheckpoint, SupervisorFormatRoundTripsSessionStates) {
 
 // ------------------------------------------------- shm-size env validation
 
-/// Spawns `icsfuzz-shim-target --tcp` with the given shm env pair and
-/// returns its exit code (-1 on abnormal termination). The server must
-/// reject a bad size before it ever mmaps.
-int spawn_tcp_server_with_shm_env(const char* name, const char* size) {
+/// Spawns `icsfuzz-shim-target` (with `--tcp` when `tcp`) with the given
+/// shm env pair and returns its exit code (-1 on abnormal termination).
+/// The server must reject a bad size before it ever mmaps.
+int spawn_shim_with_shm_env(const char* name, const char* size, bool tcp) {
   const pid_t child = ::fork();
   if (child == 0) {
     ::setenv(oop::kShmNameEnv, name, 1);
     ::setenv(oop::kShmSizeEnv, size, 1);
     ::execl(ICSFUZZ_SHIM_PATH, ICSFUZZ_SHIM_PATH, "--project", "libmodbus",
-            "--tcp", static_cast<char*>(nullptr));
+            tcp ? "--tcp" : static_cast<char*>(nullptr),
+            static_cast<char*>(nullptr));
     ::_exit(127);
   }
   int wstatus = 0;
@@ -732,22 +733,23 @@ int spawn_tcp_server_with_shm_env(const char* name, const char* size) {
 TEST(SessionTcpServer, RejectsMalformedShmSizeEnv) {
   // Regression for the strtoull trust hole: a size like "131072stray"
   // used to parse as 131072 and reach the mmap; garbage became 0. All of
-  // these must now exit through the no-usable-segment code (3) up front.
-  EXPECT_EQ(spawn_tcp_server_with_shm_env("/icsfuzz-test-none", "banana"), 3);
-  EXPECT_EQ(spawn_tcp_server_with_shm_env("/icsfuzz-test-none", ""), 3);
-  EXPECT_EQ(spawn_tcp_server_with_shm_env("/icsfuzz-test-none", "-131072"),
-            3);
-  EXPECT_EQ(spawn_tcp_server_with_shm_env("/icsfuzz-test-none", "131072stray"),
-            3);
-  // Zero and too-small-for-the-layout sizes.
-  EXPECT_EQ(spawn_tcp_server_with_shm_env("/icsfuzz-test-none", "0"), 3);
-  EXPECT_EQ(spawn_tcp_server_with_shm_env("/icsfuzz-test-none", "16"), 3);
-  // Absurd sizes past the 1 GiB ceiling must never reach the mmap.
-  EXPECT_EQ(spawn_tcp_server_with_shm_env("/icsfuzz-test-none",
-                                          "18446744073709551615"),
-            3);
-  EXPECT_EQ(
-      spawn_tcp_server_with_shm_env("/icsfuzz-test-none", "999999999999"), 3);
+  // these must now exit through the no-usable-segment code (3) up front,
+  // in the TCP session server and in the fork server alike (they share one
+  // attach). The fork server gets a real segment's name, so only the size
+  // can fail its attach.
+  oop::ShmSegment segment = oop::ShmSegment::create(oop::kSegmentBytesV2);
+  ASSERT_TRUE(segment.named());
+  const char* const sizes[] = {
+      "banana", "", "-131072", "131072stray",
+      // Zero and too-small-for-the-layout sizes.
+      "0", "16",
+      // Absurd sizes past the 1 GiB ceiling must never reach the mmap.
+      "18446744073709551615", "999999999999"};
+  for (const char* size : sizes) {
+    SCOPED_TRACE(std::string("size '") + size + "'");
+    EXPECT_EQ(spawn_shim_with_shm_env("/icsfuzz-test-none", size, true), 3);
+    EXPECT_EQ(spawn_shim_with_shm_env(segment.name().c_str(), size, false), 3);
+  }
 }
 
 TEST(SessionTcpServer, RefusesSessionHeaderAboveTheStreamCap) {

@@ -48,8 +48,9 @@ int usage(const char* argv0) {
       "                      from the shm map and is bit-identical to the\n"
       "                      in-process replay of the same stacks.\n"
       "    --persistent [K]  with --target-cmd: persistent-mode execution\n"
-      "                      (K executions per child; default 1024). An old\n"
-      "                      v1 target degrades to fork-per-exec.\n",
+      "                      (K executions per child; default 1024). A\n"
+      "                      target without the capability stays on\n"
+      "                      fork-per-exec.\n",
       argv0);
   return 2;
 }

@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
       "\"inject_info\": {\"present\": %s, \"version\": %u, "
       "\"guard_count\": %u, \"sancov\": %s, \"persistent\": %s, "
       "\"tcp\": %s}}\n",
-      executor.server().protocol_version(),
+      oop::kProtocolVersion,
       json_bool(executor.server().persistent_capable()),
       json_bool(executor.persistent_active()),
       oop::to_string(outcome.status).c_str(), outcome.term_signal,
