@@ -10,6 +10,8 @@
 #include <chrono>
 #include <cstring>
 
+#include "exec_oop/futex_sync.hpp"
+
 namespace icsfuzz::oop {
 
 namespace {
@@ -113,9 +115,12 @@ bool aux_load(const std::uint8_t* aux, std::size_t aux_size, AuxResult& out) {
   std::size_t cursor = kPayloadOff;
   for (std::uint32_t i = 0; i < fault_count; ++i) {
     if (cursor + 9 > aux_size) return false;  // corrupt block
+    // The block was written after an arbitrary target ran: a kind byte
+    // outside the enum is corruption, not a fault to record.
+    const std::uint8_t kind = load<std::uint8_t>(aux, cursor);
+    if (kind > static_cast<std::uint8_t>(san::FaultKind::Hang)) return false;
     san::FaultReport fault;
-    fault.kind =
-        static_cast<san::FaultKind>(load<std::uint8_t>(aux, cursor));
+    fault.kind = static_cast<san::FaultKind>(kind);
     fault.site = load<std::uint32_t>(aux, cursor + 1);
     const std::uint32_t detail_len = load<std::uint32_t>(aux, cursor + 5);
     if (cursor + 9 + detail_len > aux_size) return false;
@@ -129,31 +134,16 @@ bool aux_load(const std::uint8_t* aux, std::size_t aux_size, AuxResult& out) {
   return true;
 }
 
-void ctl_store(std::uint8_t* segment, const CtlBlock& ctl) {
-  std::uint8_t* block = segment + kCtlBlockOffset;
-  store<std::uint32_t>(block, 0, ctl.slot);
-  store<std::uint32_t>(block, 4, ctl.budget);
-  store<std::uint64_t>(block, 8, ctl.exec_index);
-  std::atomic_thread_fence(std::memory_order_release);
-}
-
-CtlBlock ctl_load(const std::uint8_t* segment) {
-  std::atomic_thread_fence(std::memory_order_acquire);
-  const std::uint8_t* block = segment + kCtlBlockOffset;
-  CtlBlock ctl;
-  ctl.slot = load<std::uint32_t>(block, 0);
-  ctl.budget = load<std::uint32_t>(block, 4);
-  ctl.exec_index = load<std::uint64_t>(block, 8);
-  return ctl;
-}
+// Slot test-case buffer header: [u32 len][u32 reserved][u64 exec_index].
+constexpr std::size_t kSlotHeaderBytes = 16;
 
 bool slot_store_packet(std::uint8_t* segment, std::uint32_t slot,
                        ByteSpan packet) {
-  if (packet.size() > kSlotTestCaseBytes - 4) return false;
+  if (packet.size() > kSlotTestCaseBytes - kSlotHeaderBytes) return false;
   std::uint8_t* buffer = segment + slot_offset(slot) + kSlotTestCaseOffset;
   store<std::uint32_t>(buffer, 0, static_cast<std::uint32_t>(packet.size()));
   if (!packet.empty()) {
-    std::memcpy(buffer + 4, packet.data(), packet.size());
+    std::memcpy(buffer + kSlotHeaderBytes, packet.data(), packet.size());
   }
   return true;
 }
@@ -162,8 +152,41 @@ ByteSpan slot_load_packet(const std::uint8_t* segment, std::uint32_t slot) {
   const std::uint8_t* buffer =
       segment + slot_offset(slot) + kSlotTestCaseOffset;
   std::uint32_t length = load<std::uint32_t>(buffer, 0);
-  if (length > kSlotTestCaseBytes - 4) length = 0;  // corrupt header
-  return ByteSpan(buffer + 4, length);
+  if (length > kSlotTestCaseBytes - kSlotHeaderBytes) length = 0;  // corrupt
+  return ByteSpan(buffer + kSlotHeaderBytes, length);
+}
+
+void slot_prepare_request(std::uint8_t* segment, std::uint32_t slot,
+                          std::uint64_t exec_index) {
+  std::uint8_t* base = segment + slot_offset(slot);
+  store<std::uint64_t>(base + kSlotTestCaseOffset, 8, exec_index);
+  store<std::uint32_t>(base + kSlotAuxOffset, kMagicOff, 0);
+}
+
+std::uint64_t slot_load_exec_index(const std::uint8_t* segment,
+                                   std::uint32_t slot) {
+  return load<std::uint64_t>(segment + slot_offset(slot) + kSlotTestCaseOffset,
+                             8);
+}
+
+void end_record_publish(std::uint8_t* segment, const EndRecord& record) {
+  std::uint8_t* block = sync_field(segment, kSyncEndRecord);
+  store<std::int32_t>(block, 4, record.wstatus);
+  store<std::uint32_t>(block, 8, record.flags);
+  std::atomic_ref<std::uint32_t>(*reinterpret_cast<std::uint32_t*>(block))
+      .store(record.generation, std::memory_order_release);
+  futex::bump(sync_field(segment, kSyncEvent));
+}
+
+EndRecord end_record_load(std::uint8_t* segment) {
+  std::uint8_t* block = sync_field(segment, kSyncEndRecord);
+  EndRecord record;
+  record.generation =
+      std::atomic_ref<std::uint32_t>(*reinterpret_cast<std::uint32_t*>(block))
+          .load(std::memory_order_acquire);
+  record.wstatus = load<std::int32_t>(block, 4);
+  record.flags = load<std::uint32_t>(block, 8);
+  return record;
 }
 
 bool write_full(int fd, const void* data, std::size_t size) {
@@ -286,9 +309,9 @@ ReadStatus write_full_deadline(int fd, ByteSpan head, ByteSpan body,
 }
 
 // Request [u32 timeout][u32 control][u32 len]; reply [i32 wstatus]
-// [u32 flags][u32 iteration].
+// [u32 flags].
 constexpr std::size_t kRequestBytes = 12;
-constexpr std::size_t kReplyBytes = 12;
+constexpr std::size_t kReplyBytes = 8;
 
 }  // namespace
 
@@ -323,7 +346,6 @@ bool write_reply(int fd, const Reply& reply) {
   std::uint8_t wire[kReplyBytes];
   store<std::int32_t>(wire, 0, reply.wstatus);
   store<std::uint32_t>(wire, 4, reply.flags);
-  store<std::uint32_t>(wire, 8, reply.iteration);
   return write_full(fd, wire, kReplyBytes);
 }
 
@@ -334,7 +356,6 @@ ReadStatus read_reply(int fd, Reply& reply, int timeout_ms) {
   if (status != ReadStatus::kOk) return status;
   reply.wstatus = load<std::int32_t>(wire, 0);
   reply.flags = load<std::uint32_t>(wire, 4);
-  reply.iteration = load<std::uint32_t>(wire, 8);
   return ReadStatus::kOk;
 }
 

@@ -9,17 +9,17 @@
 //                                  instrumented child into the mapping
 //   [kAuxOffset, kSegmentBytes)    fork-per-exec aux result block, written
 //                                  by the child just before _exit
-//   [kSlotsOffset, kCtlBlockOffset) kNumSlots persistent slots, each its
+//   [kSlotsOffset, kSyncBlockOffset) kNumSlots persistent slots, each its
 //                                  own map, aux block and test-case buffer
-//   [kCtlBlockOffset, +64)         the persistent iteration's control block
+//   [kSyncBlockOffset, +128)       the persistent handoff's sync block
 //
 // The aux block ships the observables a pipe could lose if the child died
 // mid-write: the instrumentation event count (the deterministic hang
 // budget), the soft-sanitizer fault reports, and the response bytes. The
 // child stores the completion magic LAST (release fence); the parent reads
-// it only after waitpid() has reaped the child, so a set magic implies a
-// fully written block and a missing magic means the child never finished
-// (killed, crashed, hung).
+// it only after the child reported completion or was reaped, so a set
+// magic implies a fully written block and a missing magic means the child
+// never finished (killed, crashed, hung).
 //
 // Pipe protocol (classic AFL two-pipe handshake, enriched; this is
 // protocol version kProtocolVersion):
@@ -29,42 +29,63 @@
 //             [u32 kHelloMagicV2][u32 caps], where caps advertises optional
 //             features (kCapPersistent). Any other hello fails the
 //             handshake.
-//   per exec: request [u32 timeout_ms][u32 control][u32 packet_len]
-//             [packet], where control == 0 forks one child for the packet
-//             (fork-per-exec) and a persistent control word
-//             (encode_control) routes the execution into the persistent
-//             child over a shm test-case slot (packet_len is then 0 — the
-//             packet travels through the segment, not the pipe).
-//             The server runs the execution (fork per exec, or one
-//             iteration of the persistent child's loop), SIGKILLing the
-//             child when its timeout_ms interval timer fires first — the
-//             server owns the pid, so the kill can never hit a recycled
-//             pid — then replies on kStFd:
-//             reply [i32 wstatus][u32 flags][u32 iteration], flags
-//             carrying timed-out / ran-persistent / recycled (+ the
-//             recycle reason), iteration saying which "N of K" of the
-//             serving child this execution was.
+//   request:  [u32 timeout_ms][u32 control][u32 packet_len][packet].
+//             control == kCtlForkExec forks one child for the packet,
+//             SIGKILLing it when its timeout_ms interval timer fires first
+//             — the server owns the pid, so the kill can never hit a
+//             recycled pid — and replies on kStFd with
+//             [i32 wstatus][u32 flags] (flags: kReplyTimedOut). The
+//             client numbers the executions of both kinds and stamps a
+//             fork-per-exec request's index into the sync block first.
+//             kCtlStart and kCtlKill drive the persistent child (below);
+//             their packet_len is 0.
 //             The executor's own read deadline (timeout_ms plus a grace
 //             margin) only guards against the server itself wedging,
 //             which is reported as server-lost, not as a hang.
 //   shutdown: executor closes the control pipe; the server's request read
-//             sees EOF, reaps any stopped persistent child and exits
-//             cleanly (exit 0 — an *orderly* shutdown the client tells
-//             apart from a lost server).
+//             sees EOF, kills any persistent child and exits cleanly
+//             (exit 0 — an *orderly* shutdown the client tells apart from
+//             a lost server).
 //
-// Persistent mode (kCapPersistent): the server forks one long-lived child
-// that loops up to K executions (the request's budget). Between
-// iterations the child raises SIGSTOP (AFL deferred/persistent-mode
-// convention); the server observes the stop with a stop-reporting
-// waitpid, which is the "iteration complete" signal, and SIGCONTs it when
-// the next request arrives. The child _exit(0)s at iteration K (budget exhaustion) and the
-// server re-forks on the next request — likewise after a crash or a
-// deadline kill, so one bad execution never poisons the loop. Each
-// iteration's observables land in that request's shm *slot* (its own map,
-// aux block and test-case buffer), so the client can pipeline up to
-// kNumSlots requests into the pipe without a round-trip stall per exec
-// and adopt each slot's results as the in-order replies drain. A server
-// that did not advertise the capability refuses a persistent request.
+// Persistent mode (kCapPersistent): one long-lived child loops up to K
+// executions (the budget), and the server is off the per-execution path.
+// The client and the child hand each execution over directly through the
+// sync block, one futex wake in each direction (futex_sync.hpp):
+//
+//   start:    the client writes the child's budget and the number of the
+//             first request it will serve into the sync block, then sends
+//             a kCtlStart request. The server kills any previous child,
+//             forks the new one and acknowledges with a reply
+//             [0][0]; a refusal (exit 5) or a dead server shows as EOF on
+//             the acknowledgement at once. The start requests number the
+//             children: the n-th start forks generation n. The child dies
+//             with the server (PR_SET_PDEATHSIG), so none is left waiting.
+//   execute:  requests are numbered from 0 for the server's lifetime.
+//             Request r uses slot request_slot(r): the client stores the
+//             packet and the request's execution index in that slot,
+//             invalidates the slot's aux block, and publishes the
+//             "requested" counter r + 1. The child futex-waits for it,
+//             runs the packet, publishes "done" = r + 1 and bumps the
+//             event word the client waits on. Up to kNumSlots requests may
+//             be published ahead of the child.
+//   end:      the server polls the control pipe and a pidfd of the child.
+//             When the child ends it reaps it and publishes the end
+//             record — [u32 generation][i32 wstatus][u32 flags] — then
+//             bumps the event word. The generation tag keeps a late record
+//             of a retired child from being read as the current child's.
+//   deadline: the client waits for "done" until the request's deadline;
+//             on expiry it sends kCtlKill, and the server SIGKILLs its own
+//             child and publishes the end record with kEndKilled. A
+//             completion that lands before the kill still counts as
+//             completed.
+//   recycle:  the child _exit(0)s after its K-th execution; the client,
+//             which numbers the executions itself, books the budget
+//             recycle and sends a start for the next one. After a crash
+//             or a hang the client likewise starts a new child, so one bad
+//             execution never poisons the loop.
+//
+// A server that did not advertise the capability refuses kCtlStart and
+// kCtlKill with exit 5.
 #pragma once
 
 #include <cstdint>
@@ -119,7 +140,7 @@ inline constexpr std::size_t kSegmentBytes = kAuxOffset + kAuxBytes;
 /// Persistent slot region, appended after the fork-per-exec region:
 /// kNumSlots independent execution slots, each with its own coverage map,
 /// aux block and test-case buffer, so up to kNumSlots persistent-mode
-/// requests can be in flight (pipelined into the pipe) with no shared
+/// requests can be in flight (published ahead of the child) with no shared
 /// mutable state between them.
 inline constexpr std::uint32_t kNumSlots = 4;
 inline constexpr std::size_t kSlotAuxOffset = cov::kMapSize;
@@ -129,88 +150,114 @@ inline constexpr std::size_t kSlotBytes =
     kSlotTestCaseOffset + kSlotTestCaseBytes;
 inline constexpr std::size_t kSlotsOffset = kSegmentBytes;
 
-/// Per-iteration control block the server writes before waking (or forking)
-/// the persistent child: which slot this iteration serves, the loop budget
-/// K, and the campaign-global execution index (fault-injection hooks key
-/// off it, mirroring the fork-per-exec plan semantics).
-inline constexpr std::size_t kCtlBlockOffset =
+/// The persistent handoff's sync block, after the slots. Client-written
+/// words sit on the first cache line, the words the child and the server
+/// publish on the second.
+inline constexpr std::size_t kSyncBlockOffset =
     kSlotsOffset + std::size_t{kNumSlots} * kSlotBytes;
-inline constexpr std::size_t kCtlBlockBytes = 64;
+inline constexpr std::size_t kSyncBlockBytes = 128;
 
 /// Full segment size: the client creates this much, and a fork server
 /// refuses to attach less.
-inline constexpr std::size_t kSegmentBytesV2 = kCtlBlockOffset + kCtlBlockBytes;
+inline constexpr std::size_t kSegmentBytesV2 =
+    kSyncBlockOffset + kSyncBlockBytes;
+
+// Sync block fields, as byte offsets inside the block.
+/// u64, client: persistent requests published. The child waits on it.
+inline constexpr std::size_t kSyncRequested = 0;
+/// u64, client before a start: the first request the new child serves.
+inline constexpr std::size_t kSyncFirstRequest = 8;
+/// u32, client before a start: the new child's budget K.
+inline constexpr std::size_t kSyncBudget = 16;
+/// u64, client before a fork-per-exec request: its execution index.
+inline constexpr std::size_t kSyncForkExecIndex = 24;
+/// u64, child: persistent requests completed.
+inline constexpr std::size_t kSyncDone = 64;
+/// u64, child and server: bumped by every completion and every end
+/// record. The client waits on it.
+inline constexpr std::size_t kSyncEvent = 72;
+/// The end record (server): u32 generation (stored last), i32 wstatus,
+/// u32 flags.
+inline constexpr std::size_t kSyncEndRecord = 80;
+/// [96, 112) of the block carries the preload's info block
+/// (inject/inject_protocol.hpp).
+
+/// Address of sync-block field `field`.
+[[nodiscard]] inline std::uint8_t* sync_field(std::uint8_t* segment,
+                                              std::size_t field) {
+  return segment + kSyncBlockOffset + field;
+}
+
+/// The slot persistent request `request` uses.
+[[nodiscard]] constexpr std::uint32_t request_slot(std::uint64_t request) {
+  return static_cast<std::uint32_t>(request % kNumSlots);
+}
 
 /// Byte offset of persistent slot `slot` inside the segment.
 [[nodiscard]] constexpr std::size_t slot_offset(std::uint32_t slot) {
   return kSlotsOffset + std::size_t{slot} * kSlotBytes;
 }
 
-// -- Request control word. -------------------------------------------------
-//
-// 0 = fork-per-exec (packet on the pipe, results in the fork-per-exec
-// region). Otherwise: bits [0,4) the slot index, bit 4 the persistent
-// marker, bits [8,32) the iteration budget K.
-inline constexpr std::uint32_t kCtlPersistent = 1u << 4;
-inline constexpr std::uint32_t kCtlSlotMask = 0xF;
-inline constexpr std::uint32_t kCtlBudgetShift = 8;
+// -- Request control words. -----------------------------------------------
+inline constexpr std::uint32_t kCtlForkExec = 0;
+/// Fork the persistent child (killing any previous one); acknowledged.
+inline constexpr std::uint32_t kCtlStart = 1;
+/// SIGKILL the persistent child; answered by its end record.
+inline constexpr std::uint32_t kCtlKill = 2;
 
-[[nodiscard]] constexpr std::uint32_t encode_control(std::uint32_t slot,
-                                                     std::uint32_t budget) {
-  return kCtlPersistent | (slot & kCtlSlotMask) |
-         (budget << kCtlBudgetShift);
-}
-[[nodiscard]] constexpr std::uint32_t control_slot(std::uint32_t control) {
-  return control & kCtlSlotMask;
-}
-[[nodiscard]] constexpr std::uint32_t control_budget(std::uint32_t control) {
-  return control >> kCtlBudgetShift;
-}
-
-// -- Reply flags. ----------------------------------------------------------
+/// Fork-per-exec reply flag: the deadline killed the child.
 inline constexpr std::uint32_t kReplyTimedOut = 1u << 0;
-/// The execution ran inside the persistent child (not a fresh fork).
-inline constexpr std::uint32_t kReplyPersistent = 1u << 1;
-/// The serving child is gone after this execution; the next request
-/// re-forks. The recycle *reason* sits in bits [8,16).
-inline constexpr std::uint32_t kReplyChildRecycled = 1u << 2;
-inline constexpr std::uint32_t kReplyRecycleShift = 8;
+
+/// Why a persistent child is gone after an execution.
 enum class RecycleReason : std::uint8_t {
   kNone = 0,
-  kBudget,  ///< orderly _exit(0) at iteration K
-  kCrash,   ///< signal / abnormal exit mid-iteration
+  kBudget,  ///< orderly _exit(0) after execution K
+  kCrash,   ///< signal / abnormal exit mid-execution
   kHang,    ///< deadline SIGKILL
 };
-[[nodiscard]] constexpr std::uint32_t encode_recycle(RecycleReason reason) {
-  return kReplyChildRecycled |
-         (static_cast<std::uint32_t>(reason) << kReplyRecycleShift);
-}
-[[nodiscard]] constexpr RecycleReason reply_recycle_reason(
-    std::uint32_t flags) {
-  return static_cast<RecycleReason>((flags >> kReplyRecycleShift) & 0xFF);
-}
 
-/// The per-iteration control block (kCtlBlockOffset).
-struct CtlBlock {
-  std::uint32_t slot = 0;
-  std::uint32_t budget = 0;
-  std::uint64_t exec_index = 0;
+// -- The persistent child's end record. -----------------------------------
+
+/// End flag: the server killed the child on a kill request.
+inline constexpr std::uint32_t kEndKilled = 1u << 0;
+/// End flag: the server exits right after this record (a relayed fault
+/// knob, shim_runner.hpp).
+inline constexpr std::uint32_t kEndServerExit = 1u << 1;
+
+struct EndRecord {
+  std::uint32_t generation = 0;  ///< 0: no child has ended yet
+  std::int32_t wstatus = 0;
+  std::uint32_t flags = 0;
 };
 
-/// Publishes `ctl` into the segment (server side, before fork/SIGCONT) /
-/// reads it back (child side, after resuming). The kernel round trip of
-/// the wakeup orders the accesses; the fences make the pairing explicit.
-void ctl_store(std::uint8_t* segment, const CtlBlock& ctl);
-CtlBlock ctl_load(const std::uint8_t* segment);
+/// Server side: stores the record, the generation last (release), then
+/// bumps the event word and wakes the client.
+void end_record_publish(std::uint8_t* segment, const EndRecord& record);
 
-/// Writes `packet` into slot `slot`'s test-case buffer as [u32 len][bytes]
-/// (client side). False when the packet exceeds the buffer — the caller
-/// must fall back to a fork-per-exec request over the pipe.
+/// Client side: the last published record. Read the fields only after
+/// seeing the generation it waits for.
+EndRecord end_record_load(std::uint8_t* segment);
+
+/// Writes `packet` into slot `slot`'s test-case buffer, laid out as
+/// [u32 len][u32 reserved][u64 exec_index][bytes] (client side). False when
+/// the packet exceeds the buffer — the caller must fall back to a
+/// fork-per-exec request over the pipe.
 bool slot_store_packet(std::uint8_t* segment, std::uint32_t slot,
                        ByteSpan packet);
 
 /// The packet span stored in slot `slot` (persistent-child side).
 ByteSpan slot_load_packet(const std::uint8_t* segment, std::uint32_t slot);
+
+/// Client side, before publishing a request on slot `slot`: stamps the
+/// request's execution index beside the packet and invalidates the slot's
+/// aux block, so a child that ends before serving the request leaves no
+/// stale completion behind.
+void slot_prepare_request(std::uint8_t* segment, std::uint32_t slot,
+                          std::uint64_t exec_index);
+
+/// The execution index stamped into slot `slot` (persistent-child side).
+std::uint64_t slot_load_exec_index(const std::uint8_t* segment,
+                                   std::uint32_t slot);
 
 /// Environment variables carrying the segment to the exec'd server.
 inline constexpr const char* kShmNameEnv = "ICSFUZZ_OOP_SHM";
@@ -289,11 +336,10 @@ ReadStatus write_request(int fd, std::uint32_t timeout_ms,
 /// Server side: reads one request header; false on EOF or error.
 bool read_request(int fd, Request& request);
 
-/// One reply.
+/// One reply: a fork-per-exec result, or a start acknowledgement.
 struct Reply {
   std::int32_t wstatus = 0;
   std::uint32_t flags = 0;
-  std::uint32_t iteration = 0;
 };
 
 /// Server side: sends `reply` with one write.

@@ -1,16 +1,20 @@
 #include "exec_oop/fork_server.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #include "exec_oop/exec_protocol.hpp"
+#include "exec_oop/futex_sync.hpp"
 
 extern char** environ;
 
@@ -50,14 +54,36 @@ bool same_env_name(const char* entry, const std::string& other) {
   return std::strncmp(entry, other.c_str(), eq + 1) == 0;
 }
 
+/// Grace on top of an exec budget before a silent server counts as lost.
+constexpr int kIoGraceMs = 5000;
+
+/// How long stop() gives a server with a persistent child to exit in an
+/// orderly way before killing it.
+constexpr int kOrderlyStopMs = 100;
+
+/// How often a persistent wait with no news checks that the server still
+/// lives, so a dead server surfaces well before the request's deadline.
+constexpr std::uint64_t kLivenessSliceMs = 50;
+
 /// Pipe-I/O deadline for one request/reply: the exec budget plus a grace
 /// margin (the shim owns the real deadline; ours only catches a wedged
 /// server). Negative for an unbounded exec budget.
 int io_deadline_for(int timeout_ms) {
   if (timeout_ms <= 0) return -1;
-  return timeout_ms > std::numeric_limits<int>::max() - 5000
+  return timeout_ms > std::numeric_limits<int>::max() - kIoGraceMs
              ? std::numeric_limits<int>::max()
-             : timeout_ms + 5000;
+             : timeout_ms + kIoGraceMs;
+}
+
+/// Maps a reaped child's wstatus onto a RunOutcome kind and fields.
+void outcome_from_wstatus(int wstatus, ForkServer::RunOutcome& outcome) {
+  if (WIFSIGNALED(wstatus)) {
+    outcome.kind = ForkServer::RunOutcome::Kind::kSignaled;
+    outcome.term_signal = WTERMSIG(wstatus);
+  } else {
+    outcome.kind = ForkServer::RunOutcome::Kind::kExited;
+    outcome.exit_code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : 0;
+  }
 }
 
 }  // namespace
@@ -66,10 +92,16 @@ ForkServer::~ForkServer() { stop(); }
 
 bool ForkServer::start(const std::vector<std::string>& argv,
                        const std::vector<std::string>& extra_env,
-                       int handshake_timeout_ms) {
+                       int handshake_timeout_ms, std::uint8_t* segment) {
   stop();
   error_.clear();
   last_failure_ = RunOutcome::Kind::kServerLost;
+  segment_ = segment;
+  exec_index_ = 0;
+  requested_ = 0;
+  awaited_ = 0;
+  child_alive_ = false;
+  generation_ = 0;
   if (argv.empty()) {
     error_ = "empty target command";
     return false;
@@ -245,13 +277,24 @@ bool ForkServer::send_request(std::uint32_t control, ByteSpan packet,
   return true;
 }
 
-bool ForkServer::submit(std::uint32_t control, int timeout_ms) {
-  return send_request(control, {}, timeout_ms, io_deadline_for(timeout_ms));
+bool ForkServer::server_alive() const {
+  siginfo_t info{};
+  if (::waitid(P_PID, static_cast<id_t>(server_pid_), &info,
+               WEXITED | WNOHANG | WNOWAIT) != 0) {
+    return errno == EINTR;  // ECHILD: already reaped, so gone
+  }
+  return info.si_pid == 0;
 }
 
-ForkServer::RunOutcome ForkServer::await_reply(int io_deadline_ms) {
+ForkServer::RunOutcome ForkServer::run(ByteSpan packet, int timeout_ms) {
   RunOutcome outcome;
-  if (st_fd_ < 0) {
+  ++exec_index_;
+  if (segment_ != nullptr) {
+    futex::counter_ref(sync_field(segment_, kSyncForkExecIndex))
+        .store(exec_index_, std::memory_order_relaxed);
+  }
+  const int io_deadline_ms = io_deadline_for(timeout_ms);
+  if (!send_request(kCtlForkExec, packet, timeout_ms, io_deadline_ms)) {
     outcome.kind = last_failure_;
     return outcome;
   }
@@ -270,52 +313,167 @@ ForkServer::RunOutcome ForkServer::await_reply(int io_deadline_ms) {
                        : RunOutcome::Kind::kServerLost;
     return outcome;
   }
-
-  const std::int32_t wstatus = reply.wstatus;
-  const std::uint32_t flags = reply.flags;
-  outcome.iteration = reply.iteration;
-  outcome.persistent = (flags & kReplyPersistent) != 0;
-  outcome.recycled = (flags & kReplyChildRecycled) != 0
-                         ? reply_recycle_reason(flags)
-                         : RecycleReason::kNone;
-  if ((flags & kReplyTimedOut) != 0) {
+  if ((reply.flags & kReplyTimedOut) != 0) {
     outcome.kind = RunOutcome::Kind::kTimeout;
-    outcome.term_signal = WIFSIGNALED(wstatus) ? WTERMSIG(wstatus) : SIGKILL;
-  } else if (WIFSIGNALED(wstatus)) {
-    outcome.kind = RunOutcome::Kind::kSignaled;
-    outcome.term_signal = WTERMSIG(wstatus);
+    outcome.term_signal =
+        WIFSIGNALED(reply.wstatus) ? WTERMSIG(reply.wstatus) : SIGKILL;
   } else {
-    outcome.kind = RunOutcome::Kind::kExited;
-    outcome.exit_code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : 0;
+    outcome_from_wstatus(reply.wstatus, outcome);
   }
   return outcome;
 }
 
-ForkServer::RunOutcome ForkServer::run(ByteSpan packet, int timeout_ms) {
+bool ForkServer::start_child(std::uint32_t budget, int timeout_ms) {
+  // The new child serves from the next request on, whatever a previous
+  // child left unserved (the caller publishes those again).
+  futex::counter_ref(sync_field(segment_, kSyncFirstRequest))
+      .store(requested_, std::memory_order_relaxed);
+  std::memcpy(sync_field(segment_, kSyncBudget), &budget, sizeof(budget));
   const int io_deadline_ms = io_deadline_for(timeout_ms);
-  if (!send_request(0, packet, timeout_ms, io_deadline_ms)) {
-    RunOutcome outcome;
-    outcome.kind = last_failure_;
-    return outcome;
+  if (!send_request(kCtlStart, {}, timeout_ms, io_deadline_ms)) return false;
+  Reply ack;
+  const ReadStatus status = read_reply(st_fd_, ack, io_deadline_ms);
+  if (status != ReadStatus::kOk) {
+    // A server that refuses the start (exit 5) or died shows here at once.
+    error_ = "fork server did not start a persistent child";
+    if (status == ReadStatus::kClosed) {
+      classify_server_gone();
+    } else {
+      last_failure_ = RunOutcome::Kind::kServerLost;
+    }
+    return false;
   }
-  return await_reply(io_deadline_ms);
+  ++generation_;
+  child_alive_ = true;
+  child_first_ = requested_;
+  child_last_ = requested_ + (budget != 0 ? budget : 1) - 1;
+  return true;
 }
 
-ForkServer::RunOutcome ForkServer::run_persistent(std::uint32_t control,
+bool ForkServer::submit(std::uint32_t budget, int timeout_ms) {
+  if (segment_ == nullptr) {
+    error_ = "persistent requests need the client's segment mapping";
+    last_failure_ = RunOutcome::Kind::kServerLost;
+    return false;
+  }
+  if (!child_alive_ && !start_child(budget, timeout_ms)) return false;
+  const std::uint64_t request = requested_++;
+  slot_prepare_request(segment_, request_slot(request), ++exec_index_);
+  futex::publish(sync_field(segment_, kSyncRequested), requested_);
+  return true;
+}
+
+ForkServer::RunOutcome ForkServer::await_reply(int timeout_ms) {
+  RunOutcome outcome;
+  if (in_flight() == 0 || !running()) {
+    outcome.kind = last_failure_;
+    return outcome;
+  }
+  const std::uint64_t request = awaited_++;
+  const std::uint32_t generation = generation_;
+  outcome.persistent = true;
+  outcome.iteration = static_cast<std::uint32_t>(request - child_first_ + 1);
+
+  std::uint8_t* const event = sync_field(segment_, kSyncEvent);
+  std::uint8_t* const done = sync_field(segment_, kSyncDone);
+  const auto completed = [done, request] {
+    return futex::load(done) > request;
+  };
+  const auto ready = [&] {
+    return completed() ||
+           end_record_load(segment_).generation == generation;
+  };
+  const auto server_gone = [&](RunOutcome::Kind kind) {
+    child_alive_ = false;
+    awaited_ = requested_;
+    outcome.kind = kind;
+    return outcome;
+  };
+
+  // Wait until the request's deadline, checking now and then that the
+  // server still lives (nobody would publish an end record otherwise).
+  const std::uint64_t deadline =
+      timeout_ms > 0
+          ? futex::monotonic_ms() + static_cast<std::uint64_t>(timeout_ms)
+          : 0;
+  bool killed = false;
+  for (;;) {
+    std::uint64_t slice = futex::monotonic_ms() + kLivenessSliceMs;
+    if (deadline != 0) slice = std::min(slice, deadline);
+    if (futex::wait_until(event, slice, ready)) break;
+    if (deadline != 0 && futex::monotonic_ms() >= deadline) {
+      // Deadline: the server kills its own child and publishes its end.
+      if (!send_request(kCtlKill, {}, 0, kIoGraceMs)) {
+        return server_gone(last_failure_);
+      }
+      killed = true;
+      if (!futex::wait_until(event, deadline + kIoGraceMs, ready)) {
+        error_ = "fork server did not answer a kill request";
+        last_failure_ = RunOutcome::Kind::kServerLost;
+        return server_gone(last_failure_);
+      }
+      break;
+    }
+    if (!server_alive()) {
+      error_ = "fork server died mid-execution";
+      return server_gone(classify_server_gone());
+    }
+  }
+
+  if (completed() && !killed && request != child_last_) {
+    outcome.kind = RunOutcome::Kind::kExited;
+    return outcome;  // the child keeps serving
+  }
+  // The child is gone after this request, and it served nothing published
+  // after it: the caller publishes those again.
+  child_alive_ = false;
+  awaited_ = requested_;
+  if (completed()) {
+    // A completion that landed before the kill still counts.
+    outcome.kind = RunOutcome::Kind::kExited;
+    outcome.recycled = killed ? RecycleReason::kHang : RecycleReason::kBudget;
+    return outcome;
+  }
+  const EndRecord end = end_record_load(segment_);
+  if ((end.flags & kEndServerExit) != 0) {
+    error_ = "fork server exited after the persistent child";
+    return server_gone(classify_server_gone());
+  }
+  if ((end.flags & kEndKilled) != 0) {
+    outcome.kind = RunOutcome::Kind::kTimeout;
+    outcome.term_signal = SIGKILL;
+    outcome.recycled = RecycleReason::kHang;
+  } else {
+    outcome_from_wstatus(end.wstatus, outcome);
+    outcome.recycled = RecycleReason::kCrash;
+  }
+  return outcome;
+}
+
+ForkServer::RunOutcome ForkServer::run_persistent(std::uint32_t budget,
                                                   int timeout_ms) {
-  const int io_deadline_ms = io_deadline_for(timeout_ms);
-  if (!send_request(control, {}, timeout_ms, io_deadline_ms)) {
+  if (!submit(budget, timeout_ms)) {
     RunOutcome outcome;
     outcome.kind = last_failure_;
     return outcome;
   }
-  return await_reply(io_deadline_ms);
+  return await_reply(timeout_ms);
 }
 
 void ForkServer::stop() {
   if (ctl_fd_ >= 0) {
     ::close(ctl_fd_);
     ctl_fd_ = -1;
+    if (child_alive_ && st_fd_ >= 0) {
+      // Orderly first: at EOF the server kills and reaps its persistent
+      // child and exits, and the status pipe reports EOF once both are
+      // gone. Their exits are then paid here, not by whatever this
+      // process runs next. A server that does not go in time is killed
+      // below.
+      struct pollfd gone = {st_fd_, POLLIN, 0};
+      (void)::poll(&gone, 1, kOrderlyStopMs);
+    }
+    child_alive_ = false;
   }
   if (st_fd_ >= 0) {
     ::close(st_fd_);

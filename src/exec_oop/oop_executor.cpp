@@ -89,7 +89,7 @@ bool OutOfProcessExecutor::spawn() {
   inject::append_preload_env(config_.preload, inject::kInjectModeFork,
                              extra_env);
   if (!server_.start(config_.target_cmd, extra_env,
-                     config_.handshake_timeout_ms)) {
+                     config_.handshake_timeout_ms, segment_.data())) {
     error_ = server_.error();
     return false;
   }
@@ -216,15 +216,16 @@ const OutOfProcessExecutor::Outcome& OutOfProcessExecutor::run(
     ForkServer::RunOutcome raw;
     std::size_t map_offset = 0;
     std::size_t aux_offset = kAuxOffset;
-    // Persistent single-exec path: packet through slot 0, oversized
-    // packets (rare — > kSlotTestCaseBytes) fall back to a fork-per-exec
-    // pipe request for this one execution.
-    if (persistent_active() && slot_store_packet(segment_.data(), 0, packet)) {
-      raw = server_.run_persistent(
-          encode_control(0, config_.persistent_budget),
-          config_.exec_timeout_ms);
-      map_offset = slot_offset(0);
-      aux_offset = slot_offset(0) + kSlotAuxOffset;
+    // Persistent single-exec path: packet through the next request's
+    // slot; oversized packets (rare — > kSlotTestCaseBytes) fall back to a
+    // fork-per-exec pipe request for this one execution.
+    const std::uint32_t slot = server_.next_slot();
+    if (persistent_active() &&
+        slot_store_packet(segment_.data(), slot, packet)) {
+      raw = server_.run_persistent(config_.persistent_budget,
+                                   config_.exec_timeout_ms);
+      map_offset = slot_offset(slot);
+      aux_offset = slot_offset(slot) + kSlotAuxOffset;
     } else {
       raw = server_.run(packet, config_.exec_timeout_ms);
     }
@@ -244,8 +245,9 @@ const OutOfProcessExecutor::Outcome& OutOfProcessExecutor::run(
 std::size_t OutOfProcessExecutor::run_batch(
     const std::vector<Bytes>& packets,
     const std::function<void(std::size_t, const Outcome&)>& on_outcome) {
-  std::size_t next_submit = 0;   // next packet to put on the wire
-  std::size_t next_deliver = 0;  // next packet whose reply we owe
+  std::size_t next_submit = 0;   // next packet to publish
+  std::size_t next_deliver = 0;  // next packet whose outcome we owe
+  std::uint32_t slot_of[kNumSlots] = {};  // in-flight packet -> its slot
 
   while (next_deliver < packets.size()) {
     if (!persistent_active() || !ensure_started()) {
@@ -258,53 +260,42 @@ std::size_t OutOfProcessExecutor::run_batch(
       break;
     }
 
-    // Fill the window: one in-flight request per shm slot. Replies drain
-    // strictly in submission order, so slot i%kNumSlots is never reused
-    // before its reply has been consumed.
+    // Fill the window: up to kNumSlots requests published ahead of the
+    // child, within its budget. Outcomes drain strictly in request order,
+    // so a slot is never reused before its result has been consumed.
     bool submit_failed = false;
-    while (!submit_failed && next_submit < packets.size() &&
-           next_submit - next_deliver < kNumSlots) {
-      const std::uint32_t slot =
-          static_cast<std::uint32_t>(next_submit % kNumSlots);
+    while (next_submit < packets.size() &&
+           next_submit - next_deliver < kNumSlots && server_.can_submit()) {
+      const std::uint32_t slot = server_.next_slot();
       if (!slot_store_packet(segment_.data(), slot,
                              ByteSpan(packets[next_submit]))) {
         break;  // oversized: drain in-flight first, then run() it inline
       }
-      if (!server_.submit(encode_control(slot, config_.persistent_budget),
+      if (!server_.submit(config_.persistent_budget,
                           config_.exec_timeout_ms)) {
         submit_failed = true;
         break;
       }
+      slot_of[next_submit % kNumSlots] = slot;
       ++next_submit;
     }
 
     if (next_submit == next_deliver) {
-      if (submit_failed) {
-        // Request never went out: nothing in flight to drain. Respawn via
-        // the sequential path (which counts the retry) and resubmit.
-        note_server_gone(server_.last_failure());
-        on_outcome(next_deliver, run(ByteSpan(packets[next_deliver])));
-        ++next_deliver;
-        next_submit = next_deliver;
-      } else {
-        // Oversized packet at the head of the queue.
-        on_outcome(next_deliver, run(ByteSpan(packets[next_deliver])));
-        ++next_deliver;
-        next_submit = next_deliver;
-      }
+      // Nothing in flight: the head packet is oversized, or the server
+      // could not start a child. Run it through the sequential path, which
+      // owns the respawn/retry policy.
+      if (submit_failed) note_server_gone(server_.last_failure());
+      on_outcome(next_deliver, run(ByteSpan(packets[next_deliver])));
+      ++next_deliver;
+      next_submit = next_deliver;
       continue;
     }
 
-    // Drain one reply. The deadline covers every exec queued ahead of it
-    // in the worst case, plus IO grace.
-    const int deadline =
-        config_.exec_timeout_ms > 0
-            ? config_.exec_timeout_ms * static_cast<int>(kNumSlots) + 5000
-            : -1;
-    const ForkServer::RunOutcome raw = server_.await_reply(deadline);
+    const ForkServer::RunOutcome raw =
+        server_.await_reply(config_.exec_timeout_ms);
     if (raw.kind == ForkServer::RunOutcome::Kind::kServerExited ||
         raw.kind == ForkServer::RunOutcome::Kind::kServerLost) {
-      // Every in-flight reply is gone with the server. Re-run the whole
+      // Every in-flight request is gone with the server. Re-run the whole
       // window sequentially (run() respawns and retries).
       note_server_gone(raw.kind);
       for (; next_deliver < next_submit; ++next_deliver) {
@@ -313,12 +304,14 @@ std::size_t OutOfProcessExecutor::run_batch(
       next_submit = next_deliver;
       continue;
     }
-    const std::uint32_t slot =
-        static_cast<std::uint32_t>(next_deliver % kNumSlots);
+    const std::uint32_t slot = slot_of[next_deliver % kNumSlots];
     classify(raw, slot_offset(slot), slot_offset(slot) + kSlotAuxOffset,
              outcome_);
     on_outcome(next_deliver, outcome_);
     ++next_deliver;
+    // A child that is gone served nothing after this request: publish the
+    // rest of the window again, in order, to the next child.
+    if (raw.recycled != RecycleReason::kNone) next_submit = next_deliver;
   }
   return packets.size();
 }

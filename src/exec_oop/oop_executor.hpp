@@ -18,8 +18,10 @@
 //     kCapPersistent: packets travel through shm test-case slots into a
 //     long-lived child that loops K executions per process, which removes
 //     the per-exec fork() and recovers an order of magnitude of
-//     throughput. run_batch() additionally pipelines up to kNumSlots
-//     requests so the round-trip stall disappears from replay-style
+//     throughput. Each execution is handed to the child and back with one
+//     futex wake each way; the fork server is not on that path.
+//     run_batch() additionally publishes up to kNumSlots requests ahead of
+//     the child so the round-trip stall disappears from replay-style
 //     workloads. A server without the capability keeps the executor on
 //     fork-per-exec — persistent_active() reports what actually runs.
 //
@@ -140,10 +142,10 @@ class OutOfProcessExecutor {
 
   /// Pipelined batch dispatch (replay/bench/distill workloads — the
   /// adaptive fuzzing loop stays per-exec because generation depends on
-  /// each result). Up to kNumSlots requests ride the pipe concurrently in
-  /// persistent mode; outcomes are delivered strictly in packet order,
-  /// each valid only for the duration of its callback (the scratch is
-  /// reused). Falls back to sequential run() calls when persistent mode
+  /// each result). Up to kNumSlots requests are published ahead of the
+  /// child in persistent mode; outcomes are delivered strictly in packet
+  /// order, each valid only for the duration of its callback (the scratch
+  /// is reused). Falls back to sequential run() calls when persistent mode
   /// is inactive. Returns the number of packets executed (always
   /// packets.size(); failures surface per-outcome, not as early exits).
   std::size_t run_batch(

@@ -1,18 +1,23 @@
 #include "exec_oop/server_loop.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/prctl.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
 
+#include "exec_oop/futex_sync.hpp"
 #include "supervise/resource_jail.hpp"
 
 namespace icsfuzz::oop {
@@ -67,33 +72,20 @@ void arm_deadline(std::uint32_t timeout_ms) {
   ::setitimer(ITIMER_REAL, &timer, nullptr);
 }
 
-/// Waits for `child` with the per-exec deadline armed; SIGKILLs it when
-/// the timer fires first. With `wait_stops` the waitpid also returns for a
-/// child that stopped itself (the persistent child's iteration-complete
-/// SIGSTOP). Returns the raw wstatus; `timed_out` reports a deadline kill.
-int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
-                bool& timed_out) {
+/// Waits for the fork-per-exec `child` with the per-exec deadline armed;
+/// SIGKILLs it when the timer fires first. Returns the raw wstatus;
+/// `timed_out` reports a deadline kill.
+int await_child(pid_t child, std::uint32_t timeout_ms, bool& timed_out) {
   g_deadline_fired = 0;
   if (timeout_ms != 0) arm_deadline(timeout_ms);
   int wstatus = 0;
   timed_out = false;
-  const int options = wait_stops ? WUNTRACED : 0;
   for (;;) {
-    const pid_t reaped = ::waitpid(child, &wstatus, options);
-    if (reaped == child) {
-      // After a deadline SIGKILL, a stop that was already pending can be
-      // reported first; keep waiting for the termination so the child is
-      // actually reaped (no zombie) before the hang verdict goes out.
-      if (timed_out && WIFSTOPPED(wstatus)) continue;
-      break;
-    }
+    const pid_t reaped = ::waitpid(child, &wstatus, 0);
+    if (reaped == child) break;
     if (reaped < 0 && errno == EINTR) {
       if (g_deadline_fired && !timed_out) {
         timed_out = true;
-        // SIGKILL terminates even a stopped child, so a deadline that
-        // races the iteration-complete stop still converges: whichever
-        // state change waitpid reports first wins, and a just-stopped
-        // child is reported as stopped (completed), not as a hang.
         ::kill(child, SIGKILL);
       }
       continue;
@@ -104,51 +96,46 @@ int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
   return wstatus;
 }
 
-/// Server-side bookkeeping for the persistent child.
+/// Server-side handle on the persistent child. The server stays its
+/// parent until the reap, so a kill through `pid` can never hit a
+/// recycled pid.
 struct PersistentChild {
   pid_t pid = -1;
-  std::uint32_t iteration = 0;  ///< executions served by this child
-  std::uint32_t budget = 0;
+  int pidfd = -1;               ///< readable once the child has ended
+  std::uint32_t generation = 0;  ///< start requests served so far
 
   [[nodiscard]] bool alive() const { return pid > 0; }
 };
 
-/// SIGKILLs and reaps a (possibly stopped) persistent child — shutdown
-/// and server-retirement hygiene so no stopped process outlives the
-/// server.
-void kill_persistent_child(PersistentChild& child) {
-  if (!child.alive()) return;
-  ::kill(child.pid, SIGKILL);
+/// Reaps the persistent child and forgets it. Returns its wstatus.
+int reap_persistent_child(PersistentChild& child) {
   int wstatus = 0;
   while (::waitpid(child.pid, &wstatus, 0) < 0 && errno == EINTR) {
   }
+  ::close(child.pidfd);
   child.pid = -1;
+  child.pidfd = -1;
+  return wstatus;
 }
 
-/// The reply for one persistent iteration, given how the child came back.
-/// Forgets the child when it is gone after this execution.
-Reply persistent_reply(PersistentChild& child, int wstatus, bool timed_out) {
-  Reply reply{static_cast<std::int32_t>(wstatus), kReplyPersistent,
-              child.iteration};
-  if (timed_out) {
-    reply.flags |= kReplyTimedOut | encode_recycle(RecycleReason::kHang);
-    child.pid = -1;  // killed and reaped by await_child
-  } else if (WIFSTOPPED(wstatus)) {
-    reply.wstatus = 0;  // iteration complete, child healthy
-  } else if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0 &&
-             child.iteration >= child.budget) {
-    // Orderly budget exhaustion: the execution completed (aux block
-    // published) and the child retired itself.
-    reply.wstatus = 0;
-    reply.flags |= encode_recycle(RecycleReason::kBudget);
-    child.pid = -1;
-  } else {
-    // Crash: signal, abnormal exit, or an exit-0 before the budget (the
-    // target pulled the child down mid-loop).
-    reply.flags |= encode_recycle(RecycleReason::kCrash);
-    child.pid = -1;
-  }
-  return reply;
+/// SIGKILLs and reaps the persistent child, publishing nothing: the
+/// client has moved on from it (shutdown, retirement, a new start).
+void kill_persistent_child(PersistentChild& child) {
+  if (!child.alive()) return;
+  ::kill(child.pid, SIGKILL);
+  (void)reap_persistent_child(child);
+}
+
+/// The server exit code a persistent child's end relays (a shim fault knob
+/// the server no longer sees per execution), or -1 for none. Only a
+/// configured knob gives its code this meaning, so a target that happens
+/// to exit with it cannot stop the server.
+int relayed_exit(const ServerLoopConfig& config, int wstatus) {
+  if (!WIFEXITED(wstatus)) return -1;
+  const int code = WEXITSTATUS(wstatus);
+  if (config.server_exit_at != 0 && code == kRelayServerExitCode) return 9;
+  if (config.server_retire_after != 0 && code == kRelayRetireCode) return 0;
+  return -1;
 }
 
 LoopExit server_exit(int code) {
@@ -207,22 +194,39 @@ LoopExit serve_fork_server(const ServerLoopConfig& config) {
   // is applied inside every forked execution child — never in the server,
   // which must stay alive across jail-killed children.
   const supervise::ResourceJail jail = supervise::jail_from_env();
+  const pid_t server_pid = ::getpid();
 
   Bytes packet;
   PersistentChild persistent;
-  std::uint64_t exec_index = 0;
   for (;;) {
+    struct pollfd events[2] = {{kCtlFd, POLLIN, 0},
+                               {persistent.pidfd, POLLIN, 0}};
+    if (::poll(events, persistent.alive() ? 2 : 1, -1) < 0 &&
+        errno == EINTR) {
+      continue;
+    }
+    if (persistent.alive() && events[1].revents != 0) {
+      // The persistent child ended on its own: budget, crash, or a relayed
+      // knob. Publish its end for the client, tagged with its generation.
+      const int wstatus = reap_persistent_child(persistent);
+      const int relay = relayed_exit(config, wstatus);
+      end_record_publish(segment,
+                         EndRecord{persistent.generation, wstatus,
+                                   relay >= 0 ? kEndServerExit : 0u});
+      if (relay >= 0) return server_exit(relay);
+      continue;
+    }
+
     Request request;
     if (!read_request(kCtlFd, request)) {
       kill_persistent_child(persistent);
       return server_exit(0);  // EOF: clean shutdown
     }
-    const bool wants_persistent = (request.control & kCtlPersistent) != 0;
     // Requests the client never sends: a length no segment or pipe
-    // transfer could back, or a persistent request the hello did not
-    // offer.
-    if (request.length > kMaxShmBytes ||
-        (wants_persistent && !config.persistent)) {
+    // transfer could back, an unknown control word, or a persistent
+    // request the hello did not offer.
+    if (request.length > kMaxShmBytes || request.control > kCtlKill ||
+        (request.control != kCtlForkExec && !config.persistent)) {
       return server_exit(5);
     }
     packet.resize(request.length);
@@ -231,73 +235,86 @@ LoopExit serve_fork_server(const ServerLoopConfig& config) {
       return server_exit(0);
     }
 
-    ++exec_index;
-    if (config.server_exit_at != 0 && exec_index == config.server_exit_at) {
-      return server_exit(9);  // simulated fork-server crash
-    }
-
-    Reply reply;
-    bool timed_out = false;
-    if (wants_persistent) {
-      std::uint32_t budget = control_budget(request.control);
-      if (budget == 0) budget = 1;
-      const bool fresh = !persistent.alive();
-      ctl_store(segment, CtlBlock{control_slot(request.control),
-                                  fresh ? budget : persistent.budget,
-                                  exec_index});
-      if (fresh) {
-        // The child zeroes each slot on its own first use: wiping all
-        // slots here would destroy results the pipelined client has not
-        // read yet.
-        const pid_t child = ::fork();
-        if (child < 0) return server_exit(5);
-        if (child == 0) {
-          supervise::apply_in_child(jail);
-          LoopExit born;
-          born.role = LoopExit::Role::kPersistentChild;
-          return born;
-        }
-        persistent = PersistentChild{child, 1, budget};
-      } else {
-        ++persistent.iteration;
-        ::kill(persistent.pid, SIGCONT);
-      }
-      const int wstatus = await_child(persistent.pid, request.timeout_ms,
-                                      /*wait_stops=*/true, timed_out);
-      reply = persistent_reply(persistent, wstatus, timed_out);
-    } else {
-      // Fork-per-exec: a pristine fork-per-exec region for the child (the
-      // map invariant, all words zero, and a magic-less aux block). The
-      // slot region keeps its own invariants (each persistent child
-      // re-zeroes a slot on first use), so it is left alone.
-      std::memset(segment, 0, kSegmentBytes);
-      bool deadline_spent = false;
-      const pid_t child =
-          config.exec_fork != nullptr
-              ? config.exec_fork->fork_child(packet, request.timeout_ms,
-                                             deadline_spent)
-              : ::fork();
+    if (request.control == kCtlStart) {
+      kill_persistent_child(persistent);
+      const pid_t child = ::fork();
       if (child < 0) return server_exit(5);
       if (child == 0) {
+        // The child waits on the client with no deadline of its own: it
+        // must not outlive the server that would kill it.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != server_pid) ::_exit(0);
         supervise::apply_in_child(jail);
         LoopExit born;
-        born.role = LoopExit::Role::kExecChild;
-        born.exec_index = exec_index;
-        born.packet = std::move(packet);
+        born.role = LoopExit::Role::kPersistentChild;
         return born;
       }
-      // The server enforces the wall-clock deadline itself: it is the
-      // child's parent, so until the reap the pid provably belongs to this
-      // child. A child that finishes right at the boundary is reaped
-      // normally and reported as completed, not as a hang.
-      const int wstatus =
-          await_child(child, deadline_spent ? 0 : request.timeout_ms,
-                      /*wait_stops=*/false, timed_out);
-      if (config.exec_fork != nullptr) config.exec_fork->after_reap();
-      reply.wstatus = static_cast<std::int32_t>(wstatus);
-      if (timed_out || deadline_spent) reply.flags |= kReplyTimedOut;
+      persistent.pid = child;
+      persistent.pidfd = static_cast<int>(::syscall(SYS_pidfd_open, child, 0));
+      if (persistent.pidfd < 0) {
+        ::kill(child, SIGKILL);
+        return server_exit(5);
+      }
+      ++persistent.generation;
+      if (!write_reply(kStFd, Reply{})) return server_exit(6);
+      continue;
     }
 
+    if (request.control == kCtlKill) {
+      // The client's deadline for the current request expired. A child
+      // that already ended has its record out; otherwise kill it here.
+      if (persistent.alive()) {
+        ::kill(persistent.pid, SIGKILL);
+        const int wstatus = reap_persistent_child(persistent);
+        end_record_publish(segment,
+                           EndRecord{persistent.generation, wstatus,
+                                     kEndKilled});
+      }
+      continue;
+    }
+
+    // Fork-per-exec. The client numbers the executions (persistent ones
+    // never cross this loop) and stamps this one's index into the sync
+    // block.
+    const std::uint64_t exec_index = std::atomic_ref<std::uint64_t>(
+        *reinterpret_cast<std::uint64_t*>(
+            sync_field(segment, kSyncForkExecIndex)))
+        .load(std::memory_order_relaxed);
+    if (config.server_exit_at != 0 && exec_index == config.server_exit_at) {
+      kill_persistent_child(persistent);
+      return server_exit(9);  // simulated fork-server crash
+    }
+    // A pristine fork-per-exec region for the child (the map invariant,
+    // all words zero, and a magic-less aux block). The slot region keeps
+    // its own invariants (each persistent child re-zeroes a slot on first
+    // use), so it is left alone.
+    std::memset(segment, 0, kSegmentBytes);
+    bool deadline_spent = false;
+    const pid_t child =
+        config.exec_fork != nullptr
+            ? config.exec_fork->fork_child(packet, request.timeout_ms,
+                                           deadline_spent)
+            : ::fork();
+    if (child < 0) return server_exit(5);
+    if (child == 0) {
+      supervise::apply_in_child(jail);
+      LoopExit born;
+      born.role = LoopExit::Role::kExecChild;
+      born.exec_index = exec_index;
+      born.packet = std::move(packet);
+      return born;
+    }
+    // The server enforces the wall-clock deadline itself: it is the
+    // child's parent, so until the reap the pid provably belongs to this
+    // child. A child that finishes right at the boundary is reaped
+    // normally and reported as completed, not as a hang.
+    bool timed_out = false;
+    const int wstatus = await_child(
+        child, deadline_spent ? 0 : request.timeout_ms, timed_out);
+    if (config.exec_fork != nullptr) config.exec_fork->after_reap();
+    Reply reply;
+    reply.wstatus = static_cast<std::int32_t>(wstatus);
+    if (timed_out || deadline_spent) reply.flags |= kReplyTimedOut;
     if (!write_reply(kStFd, reply)) return server_exit(6);
 
     if (config.server_retire_after != 0 &&
@@ -309,6 +326,28 @@ LoopExit serve_fork_server(const ServerLoopConfig& config) {
       return server_exit(0);
     }
   }
+}
+
+std::uint32_t persistent_child_await(std::uint8_t* segment,
+                                     PersistentCursor& cursor) {
+  if (!cursor.started) {
+    cursor.started = true;
+    cursor.next = futex::load(sync_field(segment, kSyncFirstRequest));
+    std::uint32_t budget = 0;
+    std::memcpy(&budget, sync_field(segment, kSyncBudget), sizeof(budget));
+    cursor.last = cursor.next + (budget != 0 ? budget : 1) - 1;
+  }
+  futex::wait_counter(sync_field(segment, kSyncRequested), cursor.next + 1,
+                      0);
+  return request_slot(cursor.next);
+}
+
+bool persistent_child_done(std::uint8_t* segment, PersistentCursor& cursor) {
+  const std::uint64_t served = cursor.next++;
+  futex::counter_ref(sync_field(segment, kSyncDone))
+      .store(served + 1, std::memory_order_release);
+  futex::bump(sync_field(segment, kSyncEvent));
+  return served == cursor.last;
 }
 
 }  // namespace icsfuzz::oop

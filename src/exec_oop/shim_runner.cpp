@@ -82,18 +82,18 @@ void inject_child_faults(const ShimFaultPlan& plan, std::uint64_t exec_index) {
   ::_exit(0);
 }
 
-/// The persistent child's ICSFUZZ_LOOP: up to `budget` executions in one
-/// process, one per wakeup. Each iteration reads its slot assignment from
-/// the control block, restores the slot's map invariant with a sparse
-/// clear (its own per-slot dirty list — nobody else writes a slot's map
-/// while this child serves it), runs the target, publishes the slot's aux
-/// block, and raises SIGSTOP to report completion. The final iteration
-/// _exit(0)s instead — the budget-exhaustion recycle the server re-forks
-/// after. Never returns.
+/// The persistent child's ICSFUZZ_LOOP: up to its budget of executions in
+/// one process, one per request the client publishes. Each iteration
+/// restores its slot's map invariant with a sparse clear (its own per-slot
+/// dirty list — nobody else writes a slot's map while this child serves
+/// it), runs the target, publishes the slot's aux block and then the
+/// request's completion. After the budget's last request it _exit(0)s —
+/// the recycle the client books itself. The server's fault knobs, which
+/// the server no longer sees per execution, are relayed through the
+/// child's exit code. Never returns.
 [[noreturn]] void run_persistent_child(ProtocolTarget& target,
                                        std::uint8_t* segment,
                                        const ShimFaultPlan& plan) {
-  const std::uint32_t budget = ctl_load(segment).budget;
   // Per-slot dirty lists, paired with first-use flags: a slot is fully
   // zeroed the first time THIS child serves it (establishing "empty list
   // == all-zero map" whatever an earlier child left behind), and
@@ -101,25 +101,28 @@ void inject_child_faults(const ShimFaultPlan& plan, std::uint64_t exec_index) {
   // the server wiping all slots at fork — matters with pipelining: at a
   // recycle boundary the client may not yet have read the previous
   // child's final slots, and the window protocol only guarantees a slot's
-  // reply has been consumed before a NEW request lands on that slot.
+  // result has been consumed before a NEW request lands on that slot.
   static cov::DirtyWordList dirty[kNumSlots];
   static bool slot_used[kNumSlots];
   for (cov::DirtyWordList& list : dirty) list.count = 0;
   for (bool& used : slot_used) used = false;
   AuxResult result;
+  PersistentCursor cursor;
 
-  for (std::uint32_t iteration = 1;; ++iteration) {
-    const CtlBlock ctl = ctl_load(segment);
-    const std::uint32_t slot = ctl.slot < kNumSlots ? ctl.slot : 0;
+  for (;;) {
+    const std::uint32_t slot = persistent_child_await(segment, cursor);
     std::uint8_t* slot_base = segment + slot_offset(slot);
+    const std::uint64_t exec_index = slot_load_exec_index(segment, slot);
 
-    inject_child_faults(plan, ctl.exec_index);
+    if (plan.server_exit_at != 0 && exec_index == plan.server_exit_at) {
+      ::_exit(kRelayServerExitCode);  // the server dies before serving it
+    }
+    inject_child_faults(plan, exec_index);
 
     // Pristine slot state: full memset on this child's first use of the
     // slot, sparse-clear of the previous iteration's dirty words after
-    // that (the in-process begin_execution analogue). Either way the aux
-    // magic ends up invalidated, so a crash mid-iteration can never be
-    // mistaken for a completed one.
+    // that (the in-process begin_execution analogue). The client already
+    // invalidated the slot's aux magic when it published the request.
     cov::DirtyWordList& slot_dirty = dirty[slot];
     if (!slot_used[slot]) {
       std::memset(slot_base, 0, cov::kMapSize + kAuxBytes);
@@ -131,7 +134,6 @@ void inject_child_faults(const ShimFaultPlan& plan, std::uint64_t exec_index) {
         words[slot_dirty.indices[i]] = 0;
       }
       slot_dirty.count = 0;
-      std::memset(slot_base + kSlotAuxOffset, 0, 4);
     }
 
     target.reset();
@@ -145,11 +147,12 @@ void inject_child_faults(const ShimFaultPlan& plan, std::uint64_t exec_index) {
     san::FaultSink::disarm_into(result.faults);
 
     aux_store(slot_base + kSlotAuxOffset, kAuxBytes, result);
-
-    if (iteration >= budget) ::_exit(0);  // budget exhausted: recycle me
-    // Iteration complete: stop until the server SIGCONTs us with the next
-    // assignment in the control block.
-    ::raise(SIGSTOP);
+    const bool budget_spent = persistent_child_done(segment, cursor);
+    if (plan.server_retire_after != 0 &&
+        exec_index >= plan.server_retire_after) {
+      ::_exit(kRelayRetireCode);  // the server retires after this one
+    }
+    if (budget_spent) ::_exit(0);
   }
 }
 

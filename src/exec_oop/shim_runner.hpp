@@ -6,9 +6,9 @@
 // server_loop.hpp's, shared with the injection runtime; this file supplies
 // the execution children. A fork-per-exec child (control == 0) runs one
 // packet and _exits; the persistent child runs K executions through an
-// ICSFUZZ_LOOP-style loop, raising SIGSTOP between iterations (the AFL
-// persistent-mode convention) until the server SIGCONTs it with the next
-// request. The shim always advertises the persistent capability.
+// ICSFUZZ_LOOP-style loop, futex-waiting between iterations for the
+// client's next request (persistent_child_await). The shim always
+// advertises the persistent capability.
 //
 // Kept in the library so future real-target harnesses can reuse it by
 // linking against their own ProtocolTarget.
@@ -42,11 +42,12 @@ struct ShimFaultPlan {
   /// code after a bounded number of untouched allocations).
   std::uint64_t oom_at = 0;
   /// Before serving execution #N the server process itself exits (code 9)
-  /// — a crashed fork server the executor must respawn.
+  /// — a crashed fork server the executor must respawn. A persistent
+  /// child relays it to the server through its exit code.
   std::uint64_t server_exit_at = 0;
   /// After serving N executions the server exits 0 — an ORDERLY
   /// retirement (periodic server recycling) the client must distinguish
-  /// from a lost server. 0 disables.
+  /// from a lost server. Relayed like server_exit_at. 0 disables.
   std::uint64_t server_retire_after = 0;
 };
 

@@ -12,7 +12,9 @@
 //                  isolation for real binaries).
 //   kPersistent  — fork-server target with ICSFUZZ_LOOP-style persistent
 //                  children: K executions per fork, packets through shm
-//                  test-case slots, SIGSTOP/SIGCONT between iterations.
+//                  test-case slots, one futex wake each way per execution
+//                  between this process and the child (the fork server
+//                  only forks, reaps and kills it).
 //                  A server whose hello lacks kCapPersistent (a preloaded
 //                  target that does not cooperate) keeps this on
 //                  fork-per-exec; nothing else changes.

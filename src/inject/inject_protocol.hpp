@@ -68,13 +68,13 @@ inline constexpr const char* kPersistentLoopSymbol =
     "__icsfuzz_persistent_loop";
 
 /// Info block the runtime publishes inside the (otherwise unused) tail of
-/// the control block: [u32 magic][u32 version][u32 guard_count]
+/// the persistent sync block: [u32 magic][u32 version][u32 guard_count]
 /// [u32 flags]. Exec children write it after module initializers have
 /// registered their sancov guard ranges, so guard_count reports what the
 /// target actually instruments; icsfuzz-inject-check reads it back after a
-/// probe execution. The TCP session segment has no control block and
-/// carries no info block.
-inline constexpr std::size_t kInjectInfoOffset = oop::kCtlBlockOffset + 32;
+/// probe execution. The TCP session segment has no persistent sync block
+/// and carries no info block.
+inline constexpr std::size_t kInjectInfoOffset = oop::kSyncBlockOffset + 96;
 inline constexpr std::uint32_t kInjectInfoMagic = 0x494E4A31;  // "INJ1"
 inline constexpr std::uint32_t kInjectRuntimeVersion = 1;
 /// Info flag: at least one sancov guard range was registered.
@@ -98,7 +98,7 @@ struct InjectInfo {
 /// Reads the info block out of a fork-server segment (fuzzer side, after
 /// at least one execution). `present` is false when no preload runtime
 /// wrote it — e.g. the target is a native shim, or the segment is too
-/// small to have a control block.
+/// small to have a persistent sync block.
 InjectInfo read_inject_info(const std::uint8_t* segment,
                             std::size_t segment_size);
 

@@ -80,7 +80,7 @@ void warn(const char* what) {
 /// Publishes the inject-info block into the control-block tail (magic
 /// last, behind a release fence). Called whenever fresher facts exist —
 /// guard tables register during each child's loader init, after the
-/// constructor already ran. The TCP segment has no control block.
+/// constructor already ran. The TCP segment has no persistent sync block.
 void publish_inject_info() {
   if (g_segment_size < oop::kSegmentBytesV2) return;
   std::uint8_t* info = g_segment + inject::kInjectInfoOffset;
@@ -135,7 +135,7 @@ void publish_exec_aux() {
 struct PersistentChildState {
   bool active = false;          ///< this process is the persistent child
   std::uint32_t iteration = 0;  ///< loop calls completed (1-based)
-  std::uint32_t budget = 0;
+  oop::PersistentCursor cursor;
   std::uint32_t slot = 0;
   std::uint32_t dirty_count[oop::kNumSlots] = {};
   std::uint16_t dirty_indices[oop::kNumSlots][cov::kMapWords] = {};
@@ -145,8 +145,9 @@ PersistentChildState g_pchild;
 
 /// Restores a slot's map invariant before an iteration: full memset on
 /// this child's first use (whatever an earlier child left), sparse clear
-/// of this child's previous dirty words after that. Either way the aux
-/// magic ends up invalid, so a crash mid-iteration cannot read as done.
+/// of this child's previous dirty words after that. The client already
+/// invalidated the slot's aux magic when it published the request, so a
+/// crash mid-iteration cannot read as done.
 void prepare_slot(std::uint32_t slot) {
   std::uint8_t* slot_base = g_segment + oop::slot_offset(slot);
   if (!g_pchild.slot_used[slot]) {
@@ -160,7 +161,6 @@ void prepare_slot(std::uint32_t slot) {
       words[indices[i]] = 0;
     }
     g_pchild.dirty_count[slot] = 0;
-    std::memset(slot_base + oop::kSlotAuxOffset, 0, 4);
   }
 }
 
@@ -470,14 +470,13 @@ int __icsfuzz_persistent_loop(void) {
   if (!g_pchild.active) return 0;
   if (g_pchild.iteration != 0) {
     publish_iteration_aux();
-    if (g_pchild.iteration >= g_pchild.budget) ::_exit(0);  // budget recycle
-    ::raise(SIGSTOP);  // iteration complete; SIGCONT resumes with new ctl
+    if (oop::persistent_child_done(g_segment, g_pchild.cursor)) {
+      ::_exit(0);  // budget recycle
+    }
   }
-  const oop::CtlBlock ctl = oop::ctl_load(g_segment);
   const std::uint32_t slot =
-      ctl.slot < oop::kNumSlots ? ctl.slot : 0;
+      oop::persistent_child_await(g_segment, g_pchild.cursor);
   if (g_pchild.iteration == 0) {
-    g_pchild.budget = ctl.budget != 0 ? ctl.budget : 1;
     publish_inject_info();  // guard tables registered during loader init
   }
   g_pchild.slot = slot;

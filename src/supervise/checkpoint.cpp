@@ -348,7 +348,11 @@ bool read_worker(TokenReader& reader, par::WorkerState& state) {
   for (std::uint64_t i = 0; i < crashes && !reader.failed; ++i) {
     reader.expect("crash");
     fuzz::CrashRecord crash;
-    crash.kind = static_cast<san::FaultKind>(reader.u64());
+    // The kind indexes the crash DB's slugs: an out-of-range value would be
+    // persisted as "unknown" and silently dropped on the next load.
+    const std::uint64_t kind = reader.u64();
+    if (kind > static_cast<std::uint64_t>(san::FaultKind::Hang)) return false;
+    crash.kind = static_cast<san::FaultKind>(kind);
     crash.site = static_cast<std::uint32_t>(reader.u64());
     crash.hits = reader.u64();
     crash.first_execution = reader.u64();

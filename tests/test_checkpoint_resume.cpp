@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -271,6 +272,35 @@ TEST(CheckpointFormat, RejectsMalformedInput) {
   ASSERT_NE(digit, std::string::npos);
   corrupt[digit] = 'z';
   EXPECT_FALSE(supervise::parse_checkpoint(corrupt).has_value());
+}
+
+TEST(CheckpointFormat, RejectsOutOfRangeCrashKind) {
+  // A crash kind outside san::FaultKind would be persisted under the slug
+  // "unknown" and dropped without a word on the next load: the loader
+  // must refuse the image instead.
+  const model::DataModelSet models = pits::modbus_pit();
+  const supervise::CampaignCheckpoint cp = mid_campaign_checkpoint(models);
+  ASSERT_FALSE(cp.workers.empty());
+  ASSERT_FALSE(cp.workers[0].fuzzer.crashes.empty());
+  std::string text = supervise::serialize_checkpoint(cp);
+  const std::size_t record = text.find("\ncrash ");
+  ASSERT_NE(record, std::string::npos);
+  const std::size_t kind = record + 7;
+  const std::size_t kind_end = text.find(' ', kind);
+  ASSERT_NE(kind_end, std::string::npos);
+  ASSERT_TRUE(supervise::parse_checkpoint(text).has_value());
+  text.replace(kind, kind_end - kind, "300");
+  EXPECT_FALSE(supervise::parse_checkpoint(text).has_value());
+
+  const ScopedTempDir dir("icsfuzz-ckpt-kind");
+  const std::string path = (dir.path() / "campaign.ckpt").string();
+  {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), file), text.size());
+    std::fclose(file);
+  }
+  EXPECT_FALSE(supervise::load_checkpoint(path).has_value());
 }
 
 TEST(CheckpointFormat, SaveLoadFileRoundTrip) {

@@ -15,11 +15,13 @@
 //     for BOTH out-of-process backends (fork-per-exec and persistent),
 //   * persistent-mode hygiene: no state bleed between iterations of one
 //     child (same packet at iteration 1 vs K-1 of the budget), recycle
-//     accounting, pipelined batch == sequential execution,
+//     accounting, pipelined batch == sequential execution, and 20k
+//     handoffs on one CPU with no lost wakeup,
 //   * fixed-seed campaign trajectories (Fuzzer with and without
 //     auto-distill, ParallelCampaign at W=2) bit-identical across all
 //     three ExecBackend kinds.
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <sys/mman.h>
 
 #include <algorithm>
@@ -131,6 +133,32 @@ TEST(ShmSegment, DistinctNamesAcrossSegments) {
   ASSERT_TRUE(a.valid());
   ASSERT_TRUE(b.valid());
   EXPECT_NE(a.name(), b.name());
+}
+
+// -- Aux block decoding. ---------------------------------------------------
+
+TEST(AuxBlock, OutOfRangeFaultKindIsRejected) {
+  // The aux block is written after an arbitrary target ran, so its bytes
+  // get the distrust of network input: a fault kind outside san::FaultKind
+  // marks the block corrupt (an abnormal termination), never a crash
+  // record the crash DB could not name.
+  std::vector<std::uint8_t> aux(oop::kAuxBytes);
+  oop::AuxResult written;
+  written.events = 42;
+  written.faults.push_back(
+      san::FaultReport{san::FaultKind::Segv, 0x1234u, "wild read"});
+  oop::aux_store(aux.data(), aux.size(), written);
+
+  oop::AuxResult read;
+  ASSERT_TRUE(oop::aux_load(aux.data(), aux.size(), read));
+  ASSERT_EQ(read.faults.size(), 1u);
+  // The first fault record follows the 24-byte fixed header; its first
+  // byte is the kind.
+  constexpr std::size_t kFirstFaultKind = 24;
+  ASSERT_EQ(aux[kFirstFaultKind],
+            static_cast<std::uint8_t>(san::FaultKind::Segv));
+  aux[kFirstFaultKind] = 0x7F;
+  EXPECT_FALSE(oop::aux_load(aux.data(), aux.size(), read));
 }
 
 // -- adopt_external vs in-process tracing. --------------------------------
@@ -477,6 +505,60 @@ TEST(OopPersistent, BatchMatchesSequentialExecution) {
   ASSERT_NE(batch.oop_backend(), nullptr);
   EXPECT_EQ(batch.oop_backend()->server_restarts(), 0u);
   EXPECT_GT(batch.oop_backend()->child_recycles(), 0u);
+}
+
+TEST(OopPersistent, HandoffStressOnOneCpu) {
+  // On one CPU every handoff is a real context switch between this process
+  // and the persistent child, so a wakeup lost between a waiter's check
+  // and its sleep would leave both asleep until the deadline — and surface
+  // here as a hang. Budget 7 interleaves recycles (a start request to the
+  // server and a fresh child) with the handoff.
+  cpu_set_t saved;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+  struct RestoreAffinity {
+    cpu_set_t mask;
+    ~RestoreAffinity() { ::sched_setaffinity(0, sizeof mask, &mask); }
+  } restore{saved};
+
+  const std::string project = "libmodbus";
+  const auto factory = proto::target_factory(project);
+  const std::unique_ptr<ProtocolTarget> inproc_target = factory();
+  const std::unique_ptr<ProtocolTarget> placeholder = factory();
+  const std::vector<Bytes> packets = packet_batch(project);
+
+  // A lost wakeup never completes, so any deadline catches it; this one
+  // leaves a scheduler stall on a loaded machine plenty of room.
+  fuzz::ExecutorConfig config =
+      oop_executor_config(project, fuzz::BackendKind::kPersistent, 7);
+  config.backend.exec_timeout_ms = 5000;
+  fuzz::Executor oop(config);
+  fuzz::Executor inproc;
+
+  constexpr std::size_t kExecutions = 20000;
+  for (std::size_t i = 0; i < kExecutions; ++i) {
+    const Bytes& packet = packets[i % packets.size()];
+    const fuzz::ExecResult expect = inproc.run(*inproc_target, packet);
+    const fuzz::ExecResult got = oop.run(*placeholder, packet);
+    ASSERT_EQ(got.trace_hash, expect.trace_hash) << "exec " << i;
+    ASSERT_EQ(got.events, expect.events) << "exec " << i;
+    ASSERT_EQ(got.response, expect.response) << "exec " << i;
+    ASSERT_NO_FATAL_FAILURE(expect_fault_lists_equal(got.faults, expect.faults))
+        << "exec " << i;
+  }
+  ASSERT_NE(oop.oop_backend(), nullptr);
+  EXPECT_TRUE(oop.oop_backend()->persistent_active());
+  EXPECT_EQ(oop.oop_backend()->run_retries(), 0u);
+  EXPECT_EQ(oop.oop_backend()->server_restarts(), 0u);
+  EXPECT_GE(oop.oop_backend()->child_recycles(), kExecutions / 7);
 }
 
 /// Hand-framed Modbus/TCP packet (MBAP header + unit id + PDU) for the

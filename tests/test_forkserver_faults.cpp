@@ -4,7 +4,8 @@
 // deterministic failures (exec_oop/shim_runner.hpp): a child SIGKILLed
 // mid-execution, a target that never handshakes, a child hanging into the
 // wall-clock deadline, the fork-server process itself dying, and an
-// orderly server retirement. This suite drives each of them
+// orderly server retirement — plus a server SIGKILLed while its
+// persistent child waits for the next request. This suite drives each of them
 // — plus an shm unlink race and a missing binary — across BOTH
 // out-of-process backends (fork-per-exec and persistent) where the fault
 // applies, and asserts the executor reports the right status while the
@@ -12,12 +13,16 @@
 // it).
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec_oop/fork_server.hpp"
@@ -290,6 +295,78 @@ TEST(ForkServerFaults, ServerCrashTriggersRespawnAndTheRunRetries) {
     // A nonzero-exit server is a LOST server, never an orderly one.
     EXPECT_EQ(executor.oop_backend()->orderly_server_exits(), 0u);
   }
+}
+
+TEST(ForkServerFaults, ServerKilledWhilePersistentChildWaits) {
+  // Between two persistent executions the child sits in a futex wait for
+  // the next request, a wait the server never takes part in. SIGKILL the
+  // server there: the next run must notice the loss, respawn and return
+  // the in-process result, and nothing of the old server's process group
+  // may survive — no orphaned child left parked in its wait.
+  const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("libmodbus")();
+  const std::unique_ptr<ProtocolTarget> reference_target =
+      proto::target_factory("libmodbus")();
+  fuzz::Executor executor(oop_config(fuzz::BackendKind::kPersistent));
+  fuzz::Executor reference;
+
+  const fuzz::ExecResult first = executor.run(*placeholder, kPacket);
+  const fuzz::ExecResult expected_first =
+      reference.run(*reference_target, kPacket);
+  ASSERT_FALSE(first.crashed());
+  ASSERT_EQ(first.trace_hash, expected_first.trace_hash);
+  ASSERT_NE(executor.oop_backend(), nullptr);
+  ASSERT_TRUE(executor.oop_backend()->persistent_active());
+
+  // The server is this process's child; its own child is the parked
+  // persistent child.
+  const pid_t server = executor.oop_backend()->server().server_pid();
+  const std::vector<pid_t> children = test::child_pids(::getpid());
+  ASSERT_NE(std::find(children.begin(), children.end(), server),
+            children.end());
+  ASSERT_EQ(test::child_pids(server).size(), 1u);
+  ASSERT_EQ(::kill(server, SIGKILL), 0);
+  // Let the kill land: the server turns into a zombie (nobody has reaped
+  // it yet), and its exit has already sent the child its death signal.
+  const auto state_of = [](pid_t pid) {
+    for (const test::ProcStat& row : test::proc_stats()) {
+      if (row.pid == pid) return row.state;
+    }
+    return '?';
+  };
+  const auto kill_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (state_of(server) != 'Z' &&
+         std::chrono::steady_clock::now() < kill_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(state_of(server), 'Z');
+
+  const fuzz::ExecResult second = executor.run(*placeholder, kPacket);
+  const fuzz::ExecResult expected_second =
+      reference.run(*reference_target, kPacket);
+  EXPECT_FALSE(second.crashed());
+  EXPECT_EQ(second.trace_hash, expected_second.trace_hash);
+  EXPECT_EQ(second.events, expected_second.events);
+  EXPECT_EQ(second.response, expected_second.response);
+  EXPECT_EQ(executor.oop_backend()->server_restarts(), 1u);
+  EXPECT_NE(executor.oop_backend()->server().server_pid(), server);
+
+  // The server led its own process group. A SIGKILL takes a moment to
+  // land; zombies are dead already, waiting for whoever reaps orphans.
+  const auto survivors = [server] {
+    std::vector<pid_t> alive;
+    for (const test::ProcStat& row : test::proc_stats()) {
+      if (row.pgrp == server && row.state != 'Z') alive.push_back(row.pid);
+    }
+    return alive;
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!survivors().empty() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(survivors().empty());
 }
 
 TEST(ForkServerFaults, OrderlyServerRetirementIsNotALostServer) {

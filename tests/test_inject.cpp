@@ -204,12 +204,14 @@ TEST(Inject, PersistentRequestWithoutCapabilityIsRefused) {
   inject::append_preload_env(preload_path(), inject::kInjectModeFork, env);
 
   oop::ForkServer server;
-  ASSERT_TRUE(server.start(demo_cmd(), env, kGenerousTimeoutMs))
+  ASSERT_TRUE(
+      server.start(demo_cmd(), env, kGenerousTimeoutMs, segment.data()))
       << server.error();
   EXPECT_FALSE(server.persistent_capable());
-  ASSERT_TRUE(oop::slot_store_packet(segment.data(), 0, kBenign));
+  ASSERT_TRUE(
+      oop::slot_store_packet(segment.data(), server.next_slot(), kBenign));
   const oop::ForkServer::RunOutcome outcome =
-      server.run_persistent(oop::encode_control(0, 8), kGenerousTimeoutMs);
+      server.run_persistent(8, kGenerousTimeoutMs);
   EXPECT_EQ(outcome.kind, oop::ForkServer::RunOutcome::Kind::kServerLost);
 }
 

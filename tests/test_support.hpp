@@ -163,13 +163,19 @@ inline std::vector<TcpSocketRow> proc_net_tcp() {
   return rows;
 }
 
-/// Local ports of the TCP sockets that this process's children hold open:
-/// the ports of the session servers an executor spawned. Lets a test look
-/// at its own server's sockets while other suites run in parallel.
-inline std::set<std::uint16_t> child_tcp_ports() {
-  std::set<unsigned long> inodes;
+/// One process as /proc/<pid>/stat describes it.
+struct ProcStat {
+  pid_t pid = 0;
+  char state = '?';
+  pid_t ppid = 0;
+  pid_t pgrp = 0;
+};
+
+/// Every process /proc lists right now.
+inline std::vector<ProcStat> proc_stats() {
+  std::vector<ProcStat> stats;
   DIR* proc = ::opendir("/proc");
-  if (proc == nullptr) return {};
+  if (proc == nullptr) return stats;
   while (const dirent* entry = ::readdir(proc)) {
     const std::string pid = entry->d_name;
     if (pid.empty() || pid.find_first_not_of("0123456789") != std::string::npos) {
@@ -180,16 +186,38 @@ inline std::set<std::uint16_t> child_tcp_ports() {
     char buf[1024] = {};
     const std::size_t got = std::fread(buf, 1, sizeof buf - 1, stat);
     std::fclose(stat);
-    // The parent pid follows the state letter, after the ")" that closes
+    // The state, parent pid and process group follow the ")" that closes
     // the command name (which may itself contain spaces or parentheses).
     const char* close_paren = std::strrchr(buf, ')');
-    int ppid = 0;
+    ProcStat row;
     if (got == 0 || close_paren == nullptr ||
-        std::sscanf(close_paren + 1, " %*c %d", &ppid) != 1 ||
-        ppid != ::getpid()) {
+        std::sscanf(close_paren + 1, " %c %d %d", &row.state, &row.ppid,
+                    &row.pgrp) != 3) {
       continue;
     }
-    const std::string fd_dir = "/proc/" + pid + "/fd";
+    row.pid = static_cast<pid_t>(std::stoi(pid));
+    stats.push_back(row);
+  }
+  ::closedir(proc);
+  return stats;
+}
+
+/// Pids of the processes whose parent is `parent`.
+inline std::vector<pid_t> child_pids(pid_t parent) {
+  std::vector<pid_t> children;
+  for (const ProcStat& row : proc_stats()) {
+    if (row.ppid == parent) children.push_back(row.pid);
+  }
+  return children;
+}
+
+/// Local ports of the TCP sockets that this process's children hold open:
+/// the ports of the session servers an executor spawned. Lets a test look
+/// at its own server's sockets while other suites run in parallel.
+inline std::set<std::uint16_t> child_tcp_ports() {
+  std::set<unsigned long> inodes;
+  for (const pid_t child : child_pids(::getpid())) {
+    const std::string fd_dir = "/proc/" + std::to_string(child) + "/fd";
     DIR* fds = ::opendir(fd_dir.c_str());
     if (fds == nullptr) continue;
     while (const dirent* fd = ::readdir(fds)) {
@@ -204,7 +232,6 @@ inline std::set<std::uint16_t> child_tcp_ports() {
     }
     ::closedir(fds);
   }
-  ::closedir(proc);
   std::set<std::uint16_t> ports;
   for (const TcpSocketRow& row : proc_net_tcp()) {
     if (row.inode != 0 && inodes.count(row.inode) != 0) {
