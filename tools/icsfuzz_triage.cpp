@@ -1,8 +1,8 @@
 // icsfuzz-triage — CLI front end of the on-disk crash-triage store.
 //
 //   # fold a session's crash db into a store, re-verifying every reproducer
-//   icsfuzz-triage ingest STORE --crashes SESSION/crashes.jsonl \
-//       --project libmodbus [--minimize] [--no-verify]
+//   icsfuzz-triage ingest STORE --crashes SESSION/crashes.jsonl
+//       --project libmodbus [--minimize] [--no-verify]   (one command)
 //
 //   # inspect the store
 //   icsfuzz-triage list STORE
