@@ -12,7 +12,7 @@
 //
 // The per-word cell work itself (classify + nonzero scan + hash mix, and the
 // word compares of merges) runs through a pluggable SIMD kernel
-// (coverage/simd.hpp): byte-wide SSE2/AVX2/NEON implementations selected at
+// (coverage/simd.hpp): byte-wide SSE2/AVX2 implementations selected at
 // runtime, with the scalar fused loop as the always-available reference. A
 // map defaults to the process-wide best kernel; use_kernel() pins one
 // explicitly (tests, bench_hotpath's scalar-vs-SIMD arms,

@@ -9,8 +9,8 @@
 // are commutative, which is what makes any batch width bit-identical to the
 // scalar loop.
 //
-// The classify sequence itself uses only operations present on SSE2, AVX2
-// and NEON alike: unsigned byte max (v >= c  <=>  max(v, c) == v), byte
+// The classify sequence itself uses only operations present on SSE2 and
+// AVX2 alike: unsigned byte max (v >= c  <=>  max(v, c) == v), byte
 // equality, and mask blends. Applied in ascending threshold order, later
 // ranges overwrite earlier ones:
 //
@@ -39,9 +39,6 @@
 // attribute; best_kernel() gates it behind a cpuid probe.
 #define ICSFUZZ_SIMD_AVX2 1
 #endif
-#elif defined(__aarch64__) || defined(__ARM_NEON)
-#define ICSFUZZ_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 #if defined(__GNUC__) && !defined(__AVX2__) && defined(ICSFUZZ_SIMD_AVX2)
@@ -489,80 +486,6 @@ constexpr KernelOps kAvx2Ops = {Kernel::kAVX2,       "avx2",
                                 adopt_full_avx2};
 #endif  // ICSFUZZ_SIMD_AVX2
 
-// --------------------------------------------------------------- NEON --
-#if defined(ICSFUZZ_SIMD_NEON)
-
-/// AFL-classifies 16 raw counts at once (NEON has native unsigned >=).
-inline uint8x16_t classify16_neon(uint8x16_t v) {
-  uint8x16_t r = v;
-  r = vbslq_u8(vceqq_u8(v, vdupq_n_u8(3)), vdupq_n_u8(4), r);
-  r = vbslq_u8(vcgeq_u8(v, vdupq_n_u8(4)), vdupq_n_u8(8), r);
-  r = vbslq_u8(vcgeq_u8(v, vdupq_n_u8(8)), vdupq_n_u8(16), r);
-  r = vbslq_u8(vcgeq_u8(v, vdupq_n_u8(16)), vdupq_n_u8(32), r);
-  r = vbslq_u8(vcgeq_u8(v, vdupq_n_u8(32)), vdupq_n_u8(64), r);
-  r = vbslq_u8(vcgeq_u8(v, vdupq_n_u8(128)), vdupq_n_u8(128), r);
-  return r;
-}
-
-TraceAnalysis analyze_trace_neon(std::uint64_t* trace,
-                                 const std::uint16_t* indices,
-                                 std::uint32_t count, std::uint64_t* virgin,
-                                 DirtyWordList* acc_dirty) {
-  TraceAnalysis out;
-  std::uint32_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const std::size_t w0 = indices[i];
-    const std::size_t w1 = indices[i + 1];
-    const uint8x16_t raw =
-        vcombine_u8(vcreate_u8(trace[w0]), vcreate_u8(trace[w1]));
-    const uint8x16_t cls = classify16_neon(raw);
-    finish_word(trace, virgin, acc_dirty, out, w0,
-                vgetq_lane_u64(vreinterpretq_u64_u8(cls), 0));
-    finish_word(trace, virgin, acc_dirty, out, w1,
-                vgetq_lane_u64(vreinterpretq_u64_u8(cls), 1));
-  }
-  for (; i < count; ++i) {
-    const std::size_t w = indices[i];
-    const uint8x16_t raw =
-        vcombine_u8(vcreate_u8(trace[w]), vcreate_u8(0));
-    const uint8x16_t cls = classify16_neon(raw);
-    finish_word(trace, virgin, acc_dirty, out, w,
-                vgetq_lane_u64(vreinterpretq_u64_u8(cls), 0));
-  }
-  return out;
-}
-
-void classify_words_neon(std::uint64_t* trace, const std::uint16_t* indices,
-                         std::uint32_t count) {
-  std::uint32_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const std::size_t w0 = indices[i];
-    const std::size_t w1 = indices[i + 1];
-    const uint8x16_t cls = classify16_neon(
-        vcombine_u8(vcreate_u8(trace[w0]), vcreate_u8(trace[w1])));
-    trace[w0] = vgetq_lane_u64(vreinterpretq_u64_u8(cls), 0);
-    trace[w1] = vgetq_lane_u64(vreinterpretq_u64_u8(cls), 1);
-  }
-  if (i < count) classify_words_scalar(trace, indices + i, count - i);
-}
-
-void adopt_full_neon(std::uint64_t* dst, const std::uint64_t* src,
-                     DirtyWordList* dirty) {
-  for (std::size_t w = 0; w < kMapWords; w += 2) {
-    if ((src[w] | src[w + 1]) == 0) continue;
-    adopt_one_word(dst, src[w], w, dirty);
-    adopt_one_word(dst, src[w + 1], w + 1, dirty);
-  }
-}
-
-// Merges batch only two words per vector on NEON, so the compare-and-skip
-// trick buys little; the scalar merge kernels serve as the merge arms.
-constexpr KernelOps kNeonOps = {Kernel::kNEON,       "neon",
-                                analyze_trace_neon,  classify_words_neon,
-                                merge_words_scalar,  merge_full_scalar,
-                                adopt_full_neon};
-#endif  // ICSFUZZ_SIMD_NEON
-
 // ----------------------------------------------------------- dispatch --
 
 Kernel probe_best() {
@@ -575,8 +498,6 @@ Kernel probe_best() {
 #endif
 #if defined(ICSFUZZ_SIMD_SSE2)
   return Kernel::kSSE2;
-#elif defined(ICSFUZZ_SIMD_NEON)
-  return Kernel::kNEON;
 #else
   return Kernel::kScalar;
 #endif
@@ -622,12 +543,6 @@ const KernelOps* ops_for(Kernel kind) {
 #else
       return nullptr;
 #endif
-    case Kernel::kNEON:
-#if defined(ICSFUZZ_SIMD_NEON)
-      return &kNeonOps;
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }
@@ -657,8 +572,6 @@ std::string_view kernel_name(Kernel kind) {
       return "sse2";
     case Kernel::kAVX2:
       return "avx2";
-    case Kernel::kNEON:
-      return "neon";
   }
   return "scalar";
 }
@@ -667,7 +580,6 @@ Kernel parse_kernel(std::string_view name) {
   if (name == "scalar") return Kernel::kScalar;
   if (name == "sse2") return Kernel::kSSE2;
   if (name == "avx2") return Kernel::kAVX2;
-  if (name == "neon") return Kernel::kNEON;
   return Kernel::kAuto;
 }
 

@@ -5,19 +5,19 @@
 // each dirty word (8 bucket-table lookups + a nonzero scan + a hash mix per
 // cell) and the full 8192-word sweep of worker-to-exchange merges. This layer
 // vectorizes both with plain byte-wide operations (compare / min-max / blend)
-// that exist identically on SSE2, AVX2 and NEON, behind one dispatch table:
+// that exist identically on SSE2 and AVX2, behind one dispatch table:
 //
 //   * Compile-time selection — each kernel is compiled only when the target
 //     architecture can express it (SSE2 is x86-64 baseline; AVX2 additionally
 //     via the GCC/Clang `target("avx2")` function attribute so a plain
-//     -march=x86-64 build still *contains* the AVX2 kernel; NEON on
-//     aarch64/ARM; the portable scalar kernel always). Defining
+//     -march=x86-64 build still *contains* the AVX2 kernel; the portable
+//     scalar kernel always, and alone on other architectures). Defining
 //     ICSFUZZ_SCALAR_COVERAGE (CMake: -DICSFUZZ_SCALAR_COVERAGE=ON) compiles
 //     the scalar kernel alone.
 //   * Runtime dispatch — best_kernel() probes the CPU once (AVX2 via
 //     __builtin_cpu_supports) and active() returns the process-wide default
 //     table, overridable with force_kernel() or the ICSFUZZ_COV_KERNEL
-//     environment variable (scalar|sse2|avx2|neon|auto). Each CoverageMap can
+//     environment variable (scalar|sse2|avx2|auto). Each CoverageMap can
 //     also pin its own kernel (CoverageMap::use_kernel /
 //     ExecutorConfig::coverage_kernel), which is how tests and bench_hotpath
 //     run the scalar and SIMD arms side by side in one process.
@@ -44,7 +44,6 @@ enum class Kernel : std::uint8_t {
   kScalar,
   kSSE2,
   kAVX2,
-  kNEON,
 };
 
 /// AFL bucket table: raw hit count -> bucket bitmask. Shared by the scalar
@@ -165,14 +164,14 @@ Kernel best_kernel();
 
 /// The process-wide default table: best_kernel(), unless overridden by
 /// force_kernel() or the ICSFUZZ_COV_KERNEL environment variable
-/// (scalar|sse2|avx2|neon|auto), read once on first use.
+/// (scalar|sse2|avx2|auto), read once on first use.
 const KernelOps& active();
 
 /// Overrides the process-wide default. Returns false (and changes nothing)
 /// when `kind` is unavailable; kAuto restores runtime selection.
 bool force_kernel(Kernel kind);
 
-/// Human-readable kernel name ("scalar", "sse2", "avx2", "neon", "auto").
+/// Human-readable kernel name ("scalar", "sse2", "avx2", "auto").
 std::string_view kernel_name(Kernel kind);
 
 /// Parses a kernel name (as accepted by ICSFUZZ_COV_KERNEL); kAuto for

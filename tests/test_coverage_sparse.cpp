@@ -211,8 +211,7 @@ TEST(SimdDispatch, ScalarKernelAlwaysRunnable) {
 
 TEST(SimdDispatch, UseKernelPinsOrFallsBackToScalar) {
   for (const simd::Kernel kind :
-       {simd::Kernel::kScalar, simd::Kernel::kSSE2, simd::Kernel::kAVX2,
-        simd::Kernel::kNEON}) {
+       {simd::Kernel::kScalar, simd::Kernel::kSSE2, simd::Kernel::kAVX2}) {
     CoverageMap map;
     map.use_kernel(kind);
     if (simd::ops_for(kind) != nullptr) {
@@ -237,8 +236,7 @@ TEST(SimdDispatch, ForceKernelOverridesProcessDefault) {
 
 TEST(SimdDispatch, KernelNamesRoundTrip) {
   for (const simd::Kernel kind :
-       {simd::Kernel::kScalar, simd::Kernel::kSSE2, simd::Kernel::kAVX2,
-        simd::Kernel::kNEON}) {
+       {simd::Kernel::kScalar, simd::Kernel::kSSE2, simd::Kernel::kAVX2}) {
     EXPECT_EQ(simd::parse_kernel(simd::kernel_name(kind)), kind);
   }
   EXPECT_EQ(simd::parse_kernel("bogus"), simd::Kernel::kAuto);

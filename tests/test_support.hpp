@@ -276,8 +276,7 @@ inline void emit_pattern(const CellPattern& pattern) {
 inline std::vector<cov::simd::Kernel> runnable_kernels() {
   std::vector<cov::simd::Kernel> kernels = {cov::simd::Kernel::kScalar};
   for (const cov::simd::Kernel kind :
-       {cov::simd::Kernel::kSSE2, cov::simd::Kernel::kAVX2,
-        cov::simd::Kernel::kNEON}) {
+       {cov::simd::Kernel::kSSE2, cov::simd::Kernel::kAVX2}) {
     if (cov::simd::ops_for(kind) != nullptr) kernels.push_back(kind);
   }
   return kernels;
