@@ -175,6 +175,30 @@ DataModelSet trap_models() {
   return set;
 }
 
+/// Choices whose alternatives each hold a free leaf with donors, so a
+/// post-crack batch pins leaves in several alternatives of one Choice (the
+/// last such alternative is taken).
+DataModelSet choice_trap_models() {
+  DataModelSet set;
+  std::vector<Chunk> alts;
+  alts.push_back(Chunk::block(
+      "PA", {Chunk::token("TokPA", 1, Endian::Big, 0x01),
+             tagged(Chunk::number("PAv", num(2, 0x0A0A)), "pin-a")}));
+  alts.push_back(Chunk::block(
+      "PB", {Chunk::token("TokPB", 1, Endian::Big, 0x02),
+             tagged(Chunk::number("PBv", num(1, 0x0B)), "pin-b")}));
+  alts.push_back(Chunk::block(
+      "PC", {Chunk::token("TokPC", 1, Endian::Big, 0x03),
+             tagged(Chunk::string("PCs", text("pc", 3)), "pin-c")}));
+  std::vector<Chunk> fields;
+  fields.push_back(Chunk::token("Head", 1, Endian::Big, 0x7E));
+  fields.push_back(Chunk::choice("PinPick", std::move(alts)));
+  fields.push_back(tagged(Chunk::number("Tail", num(1, 0x55)), "pin-tail"));
+  set.add(DataModel("PinnedChoice", Chunk::block("pc.root",
+                                                 std::move(fields))));
+  return set;
+}
+
 struct PitSource {
   const char* label;
   const char* project;  // registry project (session framing/templates)
@@ -203,6 +227,7 @@ std::vector<PitSource> sources() {
       {"dnp3.xml", "opendnp3", [] { return xml_pit("dnp3.xml"); }},
       {"mms.xml", "libiec61850", [] { return xml_pit("mms.xml"); }},
       {"traps", "", trap_models},
+      {"choice-traps", "", choice_trap_models},
   };
 }
 
@@ -355,6 +380,8 @@ constexpr Golden kGolden[] = {
       0xb020ed765601a4eaULL, 0x0ac21a16a8b50581ULL, 0x9d608d7f3540565dULL}},
     {"traps", {0x2eb7dd30b0528652ULL, 0x2ef08915fa014d15ULL, 0x4d7be0a5481dbb4cULL,
       0x7a439cd6d15109b1ULL, 0x82938cc61b4533ceULL, 0x2459f1beffc276f3ULL}},
+    {"choice-traps", {0x1408d1f0c63d39cdULL, 0x141b424a070c73f1ULL, 0xeb6424e2b8cb74c0ULL,
+      0x6ce070f847a2652cULL, 0x9659c16ca17ea324ULL, 0xd70d6d54e7ee747fULL}},
 };
 // clang-format on
 
