@@ -50,14 +50,24 @@ std::size_t PuzzleCorpus::merge_from(const PuzzleCorpus& other, Rng& rng) {
 
 const std::vector<Bytes>* PuzzleCorpus::exact_candidates(
     const model::Chunk& rule) const {
-  auto it = exact_.find(rule.rule_key());
+  return exact_candidates(rule.rule_key());
+}
+
+const std::vector<Bytes>* PuzzleCorpus::similar_candidates(
+    const model::Chunk& rule) const {
+  return similar_candidates(rule.shape_key());
+}
+
+const std::vector<Bytes>* PuzzleCorpus::exact_candidates(
+    std::uint64_t rule_key) const {
+  auto it = exact_.find(rule_key);
   if (it == exact_.end() || it->second.entries.empty()) return nullptr;
   return &it->second.entries;
 }
 
 const std::vector<Bytes>* PuzzleCorpus::similar_candidates(
-    const model::Chunk& rule) const {
-  auto it = shape_.find(rule.shape_key());
+    std::uint64_t shape_key) const {
+  auto it = shape_.find(shape_key);
   if (it == shape_.end() || it->second.entries.empty()) return nullptr;
   return &it->second.entries;
 }

@@ -57,6 +57,13 @@ class PuzzleCorpus {
   [[nodiscard]] const std::vector<Bytes>* similar_candidates(
       const model::Chunk& rule) const;
 
+  /// The same lookups by precomputed key (model::PlanNode caches a chunk's
+  /// rule_key and shape_key).
+  [[nodiscard]] const std::vector<Bytes>* exact_candidates(
+      std::uint64_t rule_key) const;
+  [[nodiscard]] const std::vector<Bytes>* similar_candidates(
+      std::uint64_t shape_key) const;
+
   /// Folds every puzzle of `other` into this corpus, tier by tier, with the
   /// usual per-bucket dedup and cap (rng picks replacement victims in full
   /// buckets). Returns the number of exact-tier puzzles actually added, so

@@ -1,124 +1,68 @@
 #include "fuzzer/instantiator.hpp"
 
-#include <functional>
-
 namespace icsfuzz::fuzz {
 
-model::InsNode ModelInstantiator::build(const model::Chunk& chunk,
-                                        Rng& rng) const {
-  model::InsNode node;
-  node.rule = &chunk;
-  switch (chunk.kind()) {
+void ModelInstantiator::emit(std::uint32_t node, Rng& rng) const {
+  const model::ModelPlan& plan = instance_.plan();
+  const std::uint32_t record = instance_.open(node);
+  switch (plan[node].kind) {
     case model::ChunkKind::Number:
     case model::ChunkKind::String:
     case model::ChunkKind::Blob:
-      node.content = mutators_.generate_leaf(chunk, rng);
+      mutators_.generate_leaf_into(*plan[node].chunk, rng, instance_.pool());
       break;
     case model::ChunkKind::Block:
-      for (const model::Chunk& child : chunk.children()) {
-        node.children.push_back(build(child, rng));
+      for (std::uint32_t child = node + 1; child < plan[node].end;
+           child = plan[child].end) {
+        emit(child, rng);
       }
       break;
-    case model::ChunkKind::Choice: {
-      const std::size_t pick = rng.index(chunk.children().size());
-      node.choice_index = pick;
-      node.children.push_back(build(chunk.children()[pick], rng));
+    case model::ChunkKind::Choice:
+      emit(plan.child(node, rng.index(plan.child_count(node))), rng);
       break;
-    }
   }
-  return node;
+  instance_.close(record);
 }
 
-model::InsNode ModelInstantiator::build_defaults(const model::Chunk& chunk,
-                                                 Rng& rng) const {
-  model::InsNode node;
-  node.rule = &chunk;
-  switch (chunk.kind()) {
-    case model::ChunkKind::Number: {
-      const model::NumberSpec& spec = chunk.number_spec();
-      node.content = encode_uint(spec.default_value, spec.width, spec.endian);
-      break;
-    }
-    case model::ChunkKind::String: {
-      const model::StringSpec& spec = chunk.string_spec();
-      std::string text = spec.default_value;
-      if (spec.length) text.resize(*spec.length, ' ');
-      node.content = to_bytes(text);
-      if (spec.null_terminated) node.content.push_back(0);
-      break;
-    }
-    case model::ChunkKind::Blob: {
-      const model::BlobSpec& spec = chunk.blob_spec();
-      node.content = spec.default_value;
-      if (spec.length) node.content.resize(*spec.length, 0);
-      break;
-    }
-    case model::ChunkKind::Block:
-      for (const model::Chunk& child : chunk.children()) {
-        node.children.push_back(build_defaults(child, rng));
+void ModelInstantiator::generate_into(const model::DataModel& model, Rng& rng,
+                                      Bytes& out) const {
+  instance_.reset(model);
+  if (rng.chance(config_.sequential_mode_pct, 100)) {
+    // Peach's sequential profile: every field at its default, then 1-2
+    // randomly chosen free fields take aggressive values (a field picked
+    // twice keeps the second value).
+    instance_.emit_defaults(0, &rng);
+    const std::vector<std::uint32_t>& leaves = instance_.free_leaves();
+    if (!leaves.empty()) {
+      const std::size_t perturbations =
+          rng.chance(1, 3) && leaves.size() > 1 ? 2 : 1;
+      for (std::size_t i = 0; i < perturbations; ++i) {
+        const std::uint32_t leaf = rng.pick(leaves);
+        const std::size_t start = instance_.pool().size();
+        mutators_.generate_leaf_into(*instance_.node_of(leaf).chunk, rng,
+                                     instance_.pool());
+        instance_.replace_content(leaf, start);
       }
-      break;
-    case model::ChunkKind::Choice: {
-      const std::size_t pick = rng.index(chunk.children().size());
-      node.choice_index = pick;
-      node.children.push_back(build_defaults(chunk.children()[pick], rng));
-      break;
     }
+  } else {
+    // Independent regeneration of every field.
+    emit(0, rng);
   }
-  return node;
+  instance_.finish(out, true);
 }
 
-std::vector<model::InsNode*> ModelInstantiator::free_leaves(
-    model::InsNode& root) {
-  std::vector<model::InsNode*> out;
-  const std::function<void(model::InsNode&)> visit = [&](model::InsNode& node) {
-    if (node.rule != nullptr && node.rule->is_leaf()) {
-      const bool derived =
-          node.rule->kind() == model::ChunkKind::Number &&
-          (node.rule->number_spec().is_token ||
-           node.rule->relation().active() || node.rule->fixup().active());
-      if (!derived) out.push_back(&node);
-      return;
-    }
-    for (model::InsNode& child : node.children) visit(child);
-  };
-  visit(root);
+Bytes ModelInstantiator::generate(const model::DataModel& model,
+                                  Rng& rng) const {
+  Bytes out;
+  generate_into(model, rng, out);
   return out;
 }
 
 model::InsTree ModelInstantiator::instantiate(const model::DataModel& model,
                                               Rng& rng) const {
-  model::InsTree tree;
-  tree.model = &model;
-  if (rng.chance(config_.sequential_mode_pct, 100)) {
-    // Peach's sequential profile: every field at its default, then 1-2
-    // randomly chosen free fields take aggressive values.
-    tree.root = build_defaults(model.root(), rng);
-    std::vector<model::InsNode*> leaves = free_leaves(tree.root);
-    if (!leaves.empty()) {
-      const std::size_t perturbations =
-          rng.chance(1, 3) && leaves.size() > 1 ? 2 : 1;
-      for (std::size_t i = 0; i < perturbations; ++i) {
-        model::InsNode* leaf = rng.pick(leaves);
-        leaf->content = mutators_.generate_leaf(*leaf->rule, rng);
-      }
-    }
-  } else {
-    // Independent regeneration of every field.
-    tree.root = build(model.root(), rng);
-  }
-  model::apply_constraints(tree);
-  return tree;
-}
-
-Bytes ModelInstantiator::generate(const model::DataModel& model,
-                                  Rng& rng) const {
-  return instantiate(model, rng).serialize();
-}
-
-void ModelInstantiator::generate_into(const model::DataModel& model, Rng& rng,
-                                      Bytes& out) const {
-  instantiate(model, rng).serialize_into(out);
+  Bytes packet;
+  generate_into(model, rng, packet);
+  return instance_.to_tree(packet);
 }
 
 }  // namespace icsfuzz::fuzz

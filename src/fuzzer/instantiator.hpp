@@ -1,8 +1,14 @@
 // ModelInstantiator — Peach's inherent generation strategy (Algorithm 1 of
-// the paper): walk the data model tree, generate every leaf through the
+// the paper): walk the data model, generate every leaf through the
 // per-type Mutators, pick Choice alternatives at random, then re-establish
-// relations and fixups. Used verbatim by the baseline engine and as the
-// no-donor fallback of the semantic-aware strategy.
+// relations and fixups. Used verbatim by the baseline engine and by the
+// session sequencer.
+//
+// Generation walks the model's compiled ModelPlan into a reusable
+// model::Instance and writes the packet straight into the caller's buffer,
+// so once capacities converge a packet costs no allocation. The instance is
+// a mutable member: an instantiator must not generate from two threads at
+// once. Each Fuzzer owns its own, and its SessionSequencer borrows it.
 #pragma once
 
 #include "model/data_model.hpp"
@@ -17,42 +23,31 @@ class ModelInstantiator {
   explicit ModelInstantiator(mutation::MutatorConfig config = {})
       : config_(config), mutators_(config) {}
 
-  /// Generates one instantiation tree from `model` (constraints applied).
-  /// Per MutatorConfig::sequential_mode_pct, either Peach's sequential
-  /// profile (defaults + 1-2 aggressively mutated fields) or independent
-  /// regeneration of every field.
-  model::InsTree instantiate(const model::DataModel& model, Rng& rng) const;
-
-  /// Convenience: instantiate and serialize.
-  Bytes generate(const model::DataModel& model, Rng& rng) const;
-
-  /// Buffer-reusing variant of generate(): serializes into `out` (cleared
-  /// first, capacity retained). Identical RNG draws.
+  /// Generates one packet from `model` into `out` (cleared first, capacity
+  /// retained), constraints applied. Per MutatorConfig::sequential_mode_pct,
+  /// either Peach's sequential profile (defaults + 1-2 aggressively mutated
+  /// free fields) or independent regeneration of every field.
   void generate_into(const model::DataModel& model, Rng& rng,
                      Bytes& out) const;
+
+  /// Value-returning generate_into (identical RNG draws).
+  Bytes generate(const model::DataModel& model, Rng& rng) const;
+
+  /// generate_into's packet as an instantiation tree (tests, dumps).
+  model::InsTree instantiate(const model::DataModel& model, Rng& rng) const;
 
   [[nodiscard]] const mutation::MutatorSuite& mutators() const {
     return mutators_;
   }
 
-  /// Collects the *free* leaves of an instantiation tree (non-token, no
-  /// relation/fixup): the fields sequential mutation may perturb. Exposed
-  /// for the semantic generator and tests.
-  static std::vector<model::InsNode*> free_leaves(model::InsNode& root);
-
-  /// Builds the all-defaults tree (random Choice alternatives, constraints
-  /// NOT yet applied) — the base of both sequential profiles.
-  model::InsNode instantiate_defaults(const model::DataModel& model,
-                                      Rng& rng) const {
-    return build_defaults(model.root(), rng);
-  }
-
  private:
-  model::InsNode build(const model::Chunk& chunk, Rng& rng) const;
-  model::InsNode build_defaults(const model::Chunk& chunk, Rng& rng) const;
+  /// Regenerates plan node `node`'s subtree, every leaf through the
+  /// mutators.
+  void emit(std::uint32_t node, Rng& rng) const;
 
   mutation::MutatorConfig config_;
   mutation::MutatorSuite mutators_;
+  mutable model::Instance instance_;
 };
 
 }  // namespace icsfuzz::fuzz

@@ -1,38 +1,15 @@
 #include "fuzzer/semantic_gen.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
 
 namespace icsfuzz::fuzz {
-namespace {
 
-/// Donation happens at *leaf* granularity: the paper's linear model ML
-/// (Figure 2a) is the flat sequence of chunk construction rules, and a
-/// donated leaf splices into freshly generated siblings. Composite puzzles
-/// stay in the corpus (Definition 2) but are not replayed wholesale —
-/// replaying whole packets would collapse exploration into repetition.
-bool donor_eligible(const model::Chunk& chunk) {
-  if (!chunk.is_leaf()) return false;
-  if (chunk.kind() == model::ChunkKind::Number) {
-    const bool derived = chunk.number_spec().is_token ||
-                         chunk.relation().active() || chunk.fixup().active();
-    return !derived;
-  }
-  return true;  // free String / Blob
-}
-
-model::InsNode leaf_node(const model::Chunk& chunk, Bytes content) {
-  model::InsNode node;
-  node.rule = &chunk;
-  node.content = std::move(content);
-  return node;
-}
-
-/// Pinned leaf assignments used by the batch construction.
-using Assignment = std::unordered_map<const model::Chunk*, const Bytes*>;
-
-}  // namespace
+// Donation happens at *leaf* granularity: the paper's linear model ML
+// (Figure 2a) is the flat sequence of chunk construction rules, and a
+// donated leaf splices into freshly generated siblings. Only free leaves
+// (PlanNode::free_leaf: no token, relation or fixup) take donors. Composite
+// puzzles stay in the corpus (Definition 2) but are not replayed wholesale —
+// replaying whole packets would collapse exploration into repetition.
 
 unsigned SemanticGenerator::roll_donor_intensity(Rng& rng) const {
   switch (rng.below(3)) {
@@ -42,52 +19,52 @@ unsigned SemanticGenerator::roll_donor_intensity(Rng& rng) const {
   }
 }
 
-model::InsNode SemanticGenerator::build_with_donors(const model::Chunk& chunk,
-                                                    const PuzzleCorpus& corpus,
-                                                    Rng& rng,
-                                                    unsigned donor_pct) const {
-  if (donor_eligible(chunk) && rng.chance(donor_pct, 100)) {
-    const std::vector<Bytes>* pool = corpus.exact_candidates(chunk);
+void SemanticGenerator::emit_with_donors(std::uint32_t node,
+                                         const PuzzleCorpus& corpus, Rng& rng,
+                                         unsigned donor_pct) const {
+  const model::ModelPlan& plan = instance_.plan();
+  const model::PlanNode& rule = plan[node];
+  if (rule.free_leaf && rng.chance(donor_pct, 100)) {
+    const std::vector<Bytes>* pool = corpus.exact_candidates(rule.rule_key);
     if (pool == nullptr && rng.chance(config_.similar_tier_pct, 100)) {
-      pool = corpus.similar_candidates(chunk);
+      pool = corpus.similar_candidates(rule.shape_key);
     }
     if (pool != nullptr) {
-      Bytes donation = rng.pick(*pool);
+      const Bytes& donor = rng.pick(*pool);
+      const std::uint32_t record = instance_.open(node);
+      Bytes& bytes = instance_.pool();
+      const std::size_t start = bytes.size();
+      bytes.insert(bytes.end(), donor.begin(), donor.end());
       // "Mutation on existing chunks": occasionally perturb the donated
       // bytes so learned values seed neighbourhood exploration.
       if (rng.chance(config_.mutate_donor_pct, 100)) {
-        const std::size_t original_size = donation.size();
-        donation = instantiator_.mutators().mutate_bytes(donation, rng);
-        const bool fixed_width =
-            chunk.fixed_width().has_value();
-        if (fixed_width) donation.resize(original_size, 0);
+        mutators_.mutate_tail(bytes, start, rng);
+        if (rule.fixed_width) bytes.resize(start + donor.size(), 0);
       }
-      return leaf_node(chunk, std::move(donation));
+      instance_.close(record);
+      return;
     }
   }
 
-  model::InsNode node;
-  node.rule = &chunk;
-  switch (chunk.kind()) {
+  const std::uint32_t record = instance_.open(node);
+  switch (rule.kind) {
     case model::ChunkKind::Number:
     case model::ChunkKind::String:
     case model::ChunkKind::Blob:
-      node.content = instantiator_.mutators().generate_leaf(chunk, rng);
+      mutators_.generate_leaf_into(*rule.chunk, rng, instance_.pool());
       break;
     case model::ChunkKind::Block:
-      for (const model::Chunk& child : chunk.children()) {
-        node.children.push_back(build_with_donors(child, corpus, rng, donor_pct));
+      for (std::uint32_t child = node + 1; child < rule.end;
+           child = plan[child].end) {
+        emit_with_donors(child, corpus, rng, donor_pct);
       }
       break;
-    case model::ChunkKind::Choice: {
-      const std::size_t pick = rng.index(chunk.children().size());
-      node.choice_index = pick;
-      node.children.push_back(
-          build_with_donors(chunk.children()[pick], corpus, rng, donor_pct));
+    case model::ChunkKind::Choice:
+      emit_with_donors(plan.child(node, rng.index(plan.child_count(node))),
+                       corpus, rng, donor_pct);
       break;
-    }
   }
-  return node;
+  instance_.close(record);
 }
 
 Bytes SemanticGenerator::generate(const model::DataModel& model,
@@ -100,109 +77,97 @@ Bytes SemanticGenerator::generate(const model::DataModel& model,
 void SemanticGenerator::generate_into(const model::DataModel& model,
                                       const PuzzleCorpus& corpus, Rng& rng,
                                       Bytes& out) const {
-  model::InsTree tree;
-  tree.model = &model;
+  instance_.reset(model);
   if (rng.chance(60, 100)) {
     // Donor-recombination profile: the structural counterpart of Peach's
     // sequential mutation. Every free field takes either a donated puzzle
     // or its default, then 0-2 fields go aberrant. This is what reaches
     // multi-field non-default combinations — each learned separately from
     // different valuable seeds — that single-field mutation cannot.
-    tree.root = instantiator_.instantiate_defaults(model, rng);
-    std::vector<model::InsNode*> leaves =
-        ModelInstantiator::free_leaves(tree.root);
+    instance_.emit_defaults(0, &rng);
+    const std::vector<std::uint32_t>& leaves = instance_.free_leaves();
+    Bytes& bytes = instance_.pool();
     const unsigned donor_pct = roll_donor_intensity(rng);
-    for (model::InsNode* leaf : leaves) {
+    for (const std::uint32_t leaf : leaves) {
       if (!rng.chance(donor_pct, 100)) continue;
-      const std::vector<Bytes>* pool = corpus.exact_candidates(*leaf->rule);
+      const model::PlanNode& rule = instance_.node_of(leaf);
+      const std::vector<Bytes>* pool = corpus.exact_candidates(rule.rule_key);
       if (pool == nullptr && rng.chance(config_.similar_tier_pct, 100)) {
-        pool = corpus.similar_candidates(*leaf->rule);
+        pool = corpus.similar_candidates(rule.shape_key);
       }
-      if (pool != nullptr) leaf->content = rng.pick(*pool);
+      if (pool != nullptr) {
+        const Bytes& donor = rng.pick(*pool);
+        const std::size_t start = bytes.size();
+        bytes.insert(bytes.end(), donor.begin(), donor.end());
+        instance_.replace_content(leaf, start);
+      }
     }
     if (!leaves.empty() && rng.chance(2, 3)) {
       const std::size_t perturbations =
           rng.chance(1, 3) && leaves.size() > 1 ? 2 : 1;
       for (std::size_t i = 0; i < perturbations; ++i) {
-        model::InsNode* leaf = rng.pick(leaves);
+        const std::uint32_t leaf = rng.pick(leaves);
+        const model::PlanNode& rule = instance_.node_of(leaf);
+        std::size_t start = bytes.size();
         if (rng.chance(config_.mutate_donor_pct, 100) &&
-            !leaf->content.empty()) {
-          const std::size_t original_size = leaf->content.size();
-          leaf->content =
-              instantiator_.mutators().mutate_bytes(leaf->content, rng);
-          if (leaf->rule->fixed_width().has_value()) {
-            leaf->content.resize(original_size, 0);
-          }
+            !instance_.content(leaf).empty()) {
+          const std::size_t original_size = instance_.content(leaf).size();
+          start = instance_.append_content(leaf);
+          mutators_.mutate_tail(bytes, start, rng);
+          if (rule.fixed_width) bytes.resize(start + original_size, 0);
         } else {
-          leaf->content = instantiator_.mutators().generate_leaf(*leaf->rule, rng);
+          mutators_.generate_leaf_into(*rule.chunk, rng, bytes);
         }
+        instance_.replace_content(leaf, start);
       }
     }
   } else {
-    tree.root =
-        build_with_donors(model.root(), corpus, rng, roll_donor_intensity(rng));
+    const unsigned donor_pct = roll_donor_intensity(rng);
+    emit_with_donors(0, corpus, rng, donor_pct);
   }
-  if (config_.apply_file_fixup) {
-    model::apply_constraints(tree);  // File Fixup
-  }
-  tree.serialize_into(out);
+  instance_.finish(out, config_.apply_file_fixup);  // File Fixup
 }
 
-namespace {
-
-/// Tree builder honouring pinned leaf assignments; unpinned content comes
-/// from the donor-aware recursive generator.
-model::InsNode build_pinned(const SemanticGenerator& gen,
-                            const model::Chunk& chunk,
-                            const PuzzleCorpus& corpus, Rng& rng,
-                            const Assignment& pinned);
-
-model::InsNode build_pinned_children(const SemanticGenerator& gen,
-                                     const model::Chunk& chunk,
-                                     const PuzzleCorpus& corpus, Rng& rng,
-                                     const Assignment& pinned) {
-  model::InsNode node;
-  node.rule = &chunk;
-  if (chunk.kind() == model::ChunkKind::Choice) {
-    // Prefer an alternative that contains a pinned leaf; random otherwise.
-    std::size_t pick = rng.index(chunk.children().size());
-    for (std::size_t i = 0; i < chunk.children().size(); ++i) {
-      for (const auto& [leaf, bytes] : pinned) {
-        if (chunk.children()[i].find(leaf->name()) != nullptr) {
-          pick = i;
+void SemanticGenerator::emit_pinned(std::uint32_t node,
+                                    const PuzzleCorpus& corpus, Rng& rng,
+                                    std::span<const Pin> pins) const {
+  for (const Pin& pin : pins) {
+    if (pin.node != node) continue;
+    const std::uint32_t record = instance_.open(node);
+    instance_.pool().insert(instance_.pool().end(), pin.bytes->begin(),
+                            pin.bytes->end());
+    instance_.close(record);
+    return;
+  }
+  const model::ModelPlan& plan = instance_.plan();
+  const model::PlanNode& rule = plan[node];
+  if (rule.leaf) {
+    emit_with_donors(node, corpus, rng, config_.donor_use_pct / 2);
+    return;
+  }
+  const std::uint32_t record = instance_.open(node);
+  if (rule.kind == model::ChunkKind::Choice) {
+    // Prefer an alternative that contains a pinned leaf (the last such
+    // alternative wins); random otherwise.
+    std::size_t pick = rng.index(plan.child_count(node));
+    std::size_t k = 0;
+    for (std::uint32_t alt = node + 1; alt < rule.end;
+         alt = plan[alt].end, ++k) {
+      for (const Pin& pin : pins) {
+        if (pin.node >= alt && pin.node < plan[alt].end) {
+          pick = k;
           break;
         }
       }
     }
-    node.choice_index = pick;
-    node.children.push_back(
-        build_pinned(gen, chunk.children()[pick], corpus, rng, pinned));
-    return node;
+    emit_pinned(plan.child(node, pick), corpus, rng, pins);
+  } else {
+    for (std::uint32_t child = node + 1; child < rule.end;
+         child = plan[child].end) {
+      emit_pinned(child, corpus, rng, pins);
+    }
   }
-  for (const model::Chunk& child : chunk.children()) {
-    node.children.push_back(build_pinned(gen, child, corpus, rng, pinned));
-  }
-  return node;
-}
-
-model::InsNode build_pinned(const SemanticGenerator& gen,
-                            const model::Chunk& chunk,
-                            const PuzzleCorpus& corpus, Rng& rng,
-                            const Assignment& pinned) {
-  if (auto it = pinned.find(&chunk); it != pinned.end()) {
-    return leaf_node(chunk, *it->second);
-  }
-  if (chunk.is_leaf()) {
-    return gen.build_leaf_or_donor(chunk, corpus, rng);
-  }
-  return build_pinned_children(gen, chunk, corpus, rng, pinned);
-}
-
-}  // namespace
-
-model::InsNode SemanticGenerator::build_leaf_or_donor(
-    const model::Chunk& chunk, const PuzzleCorpus& corpus, Rng& rng) const {
-  return build_with_donors(chunk, corpus, rng, config_.donor_use_pct / 2);
+  instance_.close(record);
 }
 
 std::vector<Bytes> SemanticGenerator::generate_batch(
@@ -210,18 +175,20 @@ std::vector<Bytes> SemanticGenerator::generate_batch(
     Rng& rng) const {
   std::vector<Bytes> out;
 
-  // The linear model: every donor-eligible leaf that actually has exact-tier
+  // The linear model: every free leaf that actually has exact-tier
   // candidates becomes an enumeration position (GETDONOR non-empty); all
   // other chunks fall back to the inherent rule (Algorithm 3 lines 14-15).
   struct Position {
-    const model::Chunk* leaf = nullptr;
+    std::uint32_t node = 0;
     const std::vector<Bytes>* candidates = nullptr;
   };
+  const model::ModelPlan& plan = model.plan();
   std::vector<Position> positions;
-  for (const model::Chunk* leaf : model.leaves()) {
-    if (!donor_eligible(*leaf)) continue;
-    if (const std::vector<Bytes>* candidates = corpus.exact_candidates(*leaf)) {
-      positions.push_back({leaf, candidates});
+  for (std::uint32_t node = 0; node < plan.size(); ++node) {
+    if (!plan[node].free_leaf) continue;
+    if (const std::vector<Bytes>* candidates =
+            corpus.exact_candidates(plan[node].rule_key)) {
+      positions.push_back({node, candidates});
     }
   }
   if (positions.empty()) return out;
@@ -244,29 +211,26 @@ std::vector<Bytes> SemanticGenerator::generate_batch(
     }
   }
 
-  // Recursive construct: depth-first product over the selected positions.
-  Assignment pinned;
-  std::vector<std::size_t> cursor(positions.size(), 0);
-  const std::function<void(std::size_t)> construct = [&](std::size_t pos) {
+  // Depth-first product over the selected positions; each complete pin set
+  // becomes one seed.
+  std::vector<Pin> pins(positions.size());
+  const auto construct = [&](const auto& self, std::size_t pos) -> void {
     if (out.size() >= config_.max_batch) return;
     if (pos == positions.size()) {
-      model::InsTree tree;
-      tree.model = &model;
-      tree.root = build_pinned(*this, model.root(), corpus, rng, pinned);
-      if (config_.apply_file_fixup) {
-        model::apply_constraints(tree);  // File Fixup
-      }
-      out.push_back(tree.serialize());
+      instance_.reset(model);
+      emit_pinned(0, corpus, rng, pins);
+      Bytes packet;
+      instance_.finish(packet, config_.apply_file_fixup);  // File Fixup
+      out.push_back(std::move(packet));
       return;
     }
     for (const Bytes* candidate : choices[pos]) {
-      pinned[positions[pos].leaf] = candidate;
-      construct(pos + 1);
+      pins[pos] = Pin{positions[pos].node, candidate};
+      self(self, pos + 1);
       if (out.size() >= config_.max_batch) break;
     }
-    pinned.erase(positions[pos].leaf);
   };
-  construct(0);
+  construct(construct, 0);
   return out;
 }
 

@@ -12,13 +12,17 @@
 //     right after a crack: enumerate donor candidates position by position
 //     (the p x q product of Algorithm 3), bounded by `max_batch`.
 //
-// Both modes finish with model::apply_constraints — the File Fixup module —
-// so spliced seeds regain their size-of/count-of/CRC integrity.
+// Both modes walk the model's compiled plan into a reusable model::Instance
+// and finish with the File Fixup pass, so spliced seeds regain their
+// size-of/count-of/CRC integrity.
 #pragma once
 
+#include <span>
+
 #include "fuzzer/corpus.hpp"
-#include "fuzzer/instantiator.hpp"
 #include "model/data_model.hpp"
+#include "model/instantiation.hpp"
+#include "mutation/mutator.hpp"
 
 namespace icsfuzz::fuzz {
 
@@ -50,7 +54,7 @@ struct SemanticGenConfig {
 class SemanticGenerator {
  public:
   SemanticGenerator(SemanticGenConfig config, mutation::MutatorConfig mutators)
-      : config_(config), instantiator_(mutators) {}
+      : config_(config), mutators_(mutators) {}
 
   /// Steady-state semantic-aware generation of one seed.
   Bytes generate(const model::DataModel& model, const PuzzleCorpus& corpus,
@@ -68,21 +72,30 @@ class SemanticGenerator {
 
   [[nodiscard]] const SemanticGenConfig& config() const { return config_; }
 
-  /// Generates one leaf (donor-aware) — used by the batch tree builder.
-  model::InsNode build_leaf_or_donor(const model::Chunk& chunk,
-                                     const PuzzleCorpus& corpus,
-                                     Rng& rng) const;
-
  private:
-  model::InsNode build_with_donors(const model::Chunk& chunk,
-                                   const PuzzleCorpus& corpus, Rng& rng,
-                                   unsigned donor_pct) const;
+  /// A batch position's leaf pinned to one donor.
+  struct Pin {
+    std::uint32_t node = 0;
+    const Bytes* bytes = nullptr;
+  };
+
+  /// Generates plan node `node`'s subtree, splicing a donor at each free
+  /// leaf with probability `donor_pct`.
+  void emit_with_donors(std::uint32_t node, const PuzzleCorpus& corpus,
+                        Rng& rng, unsigned donor_pct) const;
+
+  /// Generates `node`'s subtree honouring `pins`; unpinned leaves are
+  /// donor-aware, and a Choice prefers an alternative holding a pin.
+  void emit_pinned(std::uint32_t node, const PuzzleCorpus& corpus, Rng& rng,
+                   std::span<const Pin> pins) const;
 
   /// Rolls this seed's donor intensity (heavy / medium / light).
   unsigned roll_donor_intensity(Rng& rng) const;
 
   SemanticGenConfig config_;
-  ModelInstantiator instantiator_;
+  mutation::MutatorSuite mutators_;
+  /// Generation arena, reused by every call (one generator per thread).
+  mutable model::Instance instance_;
 };
 
 }  // namespace icsfuzz::fuzz

@@ -81,7 +81,38 @@ std::optional<std::string> validate_chunk(const Chunk& chunk, const Chunk& root,
 }  // namespace
 
 DataModel::DataModel(std::string name, Chunk root)
-    : name_(std::move(name)), root_(std::move(root)) {}
+    : name_(std::move(name)), root_(std::move(root)), plan_(root_) {}
+
+DataModel::DataModel(const DataModel& other)
+    : name_(other.name_),
+      root_(other.root_),
+      opcode_(other.opcode_),
+      plan_(other.plan_) {
+  plan_.rebind(root_);
+}
+
+DataModel::DataModel(DataModel&& other) noexcept
+    : name_(std::move(other.name_)),
+      root_(std::move(other.root_)),
+      opcode_(other.opcode_),
+      plan_(std::move(other.plan_)) {
+  plan_.rebind(root_);
+}
+
+DataModel& DataModel::operator=(const DataModel& other) {
+  if (this != &other) *this = DataModel(other);
+  return *this;
+}
+
+DataModel& DataModel::operator=(DataModel&& other) noexcept {
+  if (this == &other) return *this;
+  name_ = std::move(other.name_);
+  root_ = std::move(other.root_);
+  opcode_ = other.opcode_;
+  plan_ = std::move(other.plan_);
+  plan_.rebind(root_);
+  return *this;
+}
 
 std::vector<const Chunk*> DataModel::linear() const {
   std::vector<const Chunk*> out;

@@ -4,6 +4,9 @@
 // A format specification (a Pit) yields a *set* of data models, one per
 // packet type / function code; EXTRACTDATAMODEL in the paper's Algorithms 1
 // and 2 corresponds to DataModelSet.
+//
+// Each model is compiled once, at construction, into its ModelPlan
+// (plan.hpp) — the flat form the generators walk.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "model/chunk.hpp"
+#include "model/plan.hpp"
 
 namespace icsfuzz::model {
 
@@ -19,8 +23,19 @@ class DataModel {
  public:
   DataModel(std::string name, Chunk root);
 
+  // The plan points into root_, so a copy or move re-points it at the new
+  // model's own chunks.
+  DataModel(const DataModel& other);
+  DataModel(DataModel&& other) noexcept;
+  DataModel& operator=(const DataModel& other);
+  DataModel& operator=(DataModel&& other) noexcept;
+  ~DataModel() = default;
+
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const Chunk& root() const { return root_; }
+
+  /// The compiled generation plan (node 0 is root()).
+  [[nodiscard]] const ModelPlan& plan() const { return plan_; }
 
   /// The function-code/opcode value this model produces, when the model
   /// represents one concrete packet type (metadata used by reports).
@@ -53,6 +68,7 @@ class DataModel {
   std::string name_;
   Chunk root_;
   std::optional<std::uint64_t> opcode_;
+  ModelPlan plan_;
 };
 
 /// The data-model set extracted from one format specification.

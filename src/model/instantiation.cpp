@@ -1,6 +1,7 @@
 #include "model/instantiation.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <unordered_map>
 
@@ -236,42 +237,6 @@ class Parser {
   LengthEnv env_;
 };
 
-InsNode build_default(const Chunk& chunk) {
-  InsNode node;
-  node.rule = &chunk;
-  switch (chunk.kind()) {
-    case ChunkKind::Number: {
-      const NumberSpec& spec = chunk.number_spec();
-      node.content = encode_uint(spec.default_value, spec.width, spec.endian);
-      break;
-    }
-    case ChunkKind::String: {
-      const StringSpec& spec = chunk.string_spec();
-      std::string text = spec.default_value;
-      if (spec.length) text.resize(*spec.length, ' ');
-      node.content = to_bytes(text);
-      if (spec.null_terminated) node.content.push_back(0);
-      break;
-    }
-    case ChunkKind::Blob: {
-      const BlobSpec& spec = chunk.blob_spec();
-      node.content = spec.default_value;
-      if (spec.length) node.content.resize(*spec.length, 0);
-      break;
-    }
-    case ChunkKind::Block:
-      for (const Chunk& child : chunk.children()) {
-        node.children.push_back(build_default(child));
-      }
-      break;
-    case ChunkKind::Choice:
-      node.choice_index = 0;
-      node.children.push_back(build_default(chunk.children().front()));
-      break;
-  }
-  return node;
-}
-
 void dump_node(const InsNode& node, std::size_t depth, std::string& out) {
   out.append(depth * 2, ' ');
   if (node.rule != nullptr) {
@@ -282,10 +247,9 @@ void dump_node(const InsNode& node, std::size_t depth, std::string& out) {
   } else {
     out += "?";
   }
-  if (node.opaque) out += " (opaque donor)";
   const Bytes bytes = node.serialize();
   out += " [" + std::to_string(bytes.size()) + "B]";
-  if (node.rule != nullptr && (node.rule->is_leaf() || node.opaque)) {
+  if (node.rule != nullptr && node.rule->is_leaf()) {
     const std::size_t preview = std::min<std::size_t>(bytes.size(), 16);
     out += " ";
     out += to_hex(ByteSpan(bytes.data(), preview));
@@ -294,6 +258,79 @@ void dump_node(const InsNode& node, std::size_t depth, std::string& out) {
   out += "\n";
   for (const InsNode& child : node.children) dump_node(child, depth + 1, out);
 }
+
+/// Initial capacity of an Instance's byte pool.
+constexpr std::size_t kPoolFloor = 4096;
+
+/// Ensures room for `size` bytes, at least doubling the capacity when it
+/// grows. Appending one leaf at a time would otherwise let a rare longer
+/// packet grow the buffer to just its size, and the next one by a byte more:
+/// the capacity must converge for the steady state to be allocation-free.
+void reserve_doubling(Bytes& buffer, std::size_t size) {
+  if (buffer.capacity() < size) {
+    buffer.reserve(std::max(size, 2 * buffer.capacity()));
+  }
+}
+
+/// Writes `value` into the fixed-width Number field at `field`; returns 1
+/// when its bytes changed.
+std::size_t store_field(const NumberSpec& spec, std::uint64_t value,
+                        const NodeSpan& field, std::span<std::uint8_t> packet) {
+  std::uint8_t encoded[8];
+  store_uint(encoded, value, spec.width, spec.endian);
+  std::uint8_t* at = packet.data() + field.begin;
+  if (std::memcmp(at, encoded, spec.width) == 0) return 0;
+  std::memcpy(at, encoded, spec.width);
+  return 1;
+}
+
+/// Serializes an InsTree for the File Fixup pass, mapping each node that
+/// follows the model to its plan node.
+struct TreeFlattener {
+  explicit TreeFlattener(const ModelPlan& plan)
+      : plan(plan), spans(plan.size()) {}
+
+  void add(InsNode& node, std::uint32_t index) {
+    const auto begin = static_cast<std::uint32_t>(packet.size());
+    if (node.rule != nullptr && node.rule->is_leaf()) {
+      const bool is_derived = index != kNoNode &&
+                              (plan[index].relation_target != kNoNode ||
+                               plan[index].fixup_ref != kNoNode);
+      if (is_derived) {
+        // Derived fields are rewritten in place: give them their width.
+        const std::size_t width = node.rule->number_spec().width;
+        const std::size_t copied = std::min(width, node.content.size());
+        packet.insert(packet.end(), node.content.begin(),
+                      node.content.begin() + static_cast<std::ptrdiff_t>(copied));
+        packet.resize(begin + width, 0);
+        derived.emplace_back(&node, index);
+      } else {
+        append(packet, node.content);
+      }
+    } else {
+      for (InsNode& child : node.children) add(child, match(index, child.rule));
+    }
+    if (index != kNoNode) {
+      spans[index] = NodeSpan{begin, static_cast<std::uint32_t>(packet.size())};
+    }
+  }
+
+  /// The child of plan node `parent` whose chunk is `rule`, or kNoNode.
+  [[nodiscard]] std::uint32_t match(std::uint32_t parent,
+                                    const Chunk* rule) const {
+    if (parent == kNoNode) return kNoNode;
+    for (std::uint32_t child = parent + 1; child < plan[parent].end;
+         child = plan[child].end) {
+      if (plan[child].chunk == rule) return child;
+    }
+    return kNoNode;
+  }
+
+  const ModelPlan& plan;
+  std::vector<NodeSpan> spans;
+  Bytes packet;
+  std::vector<std::pair<InsNode*, std::uint32_t>> derived;
+};
 
 }  // namespace
 
@@ -305,7 +342,7 @@ Bytes InsNode::serialize() const {
 }
 
 void InsNode::serialize_append(Bytes& out) const {
-  if ((rule != nullptr && rule->is_leaf()) || opaque) {
+  if (rule != nullptr && rule->is_leaf()) {
     append(out, content);
     return;
   }
@@ -313,7 +350,7 @@ void InsNode::serialize_append(Bytes& out) const {
 }
 
 std::size_t InsNode::serialized_size() const {
-  if ((rule != nullptr && rule->is_leaf()) || opaque) return content.size();
+  if (rule != nullptr && rule->is_leaf()) return content.size();
   std::size_t total = 0;
   for (const InsNode& child : children) total += child.serialized_size();
   return total;
@@ -347,84 +384,210 @@ std::optional<InsTree> parse_packet(const DataModel& model, ByteSpan packet,
   return parser.run();
 }
 
-std::size_t apply_constraints(InsTree& tree) {
-  if (tree.model == nullptr) return 0;
+std::size_t apply_constraints(const ModelPlan& plan,
+                              std::span<const NodeSpan> spans,
+                              std::span<std::uint8_t> packet) {
   std::size_t rewritten = 0;
-
-  // Pass 1: relations. Relation fields are fixed-width numbers, so writing
-  // them never changes any measured size.
-  std::function<void(InsNode&)> fix_relations = [&](InsNode& node) {
-    if (node.opaque) return;  // donor bytes are immutable
-    if (node.rule != nullptr && node.rule->relation().active() &&
-        node.rule->kind() == ChunkKind::Number) {
-      const InsNode* target = tree.root.find(node.rule->relation().target);
-      if (target != nullptr) {
-        const NumberSpec& spec = node.rule->number_spec();
-        const std::uint64_t value =
-            relation_value(node.rule->relation(), target->serialized_size());
-        Bytes encoded = encode_uint(value, spec.width, spec.endian);
-        if (encoded != node.content) {
-          node.content = std::move(encoded);
-          ++rewritten;
-        }
-      }
-    }
-    for (InsNode& child : node.children) fix_relations(child);
-  };
-  fix_relations(tree.root);
-
-  // Pass 2: fixups, innermost reference first so that an outer checksum
-  // covers the final bytes of any inner one.
-  struct FixupSite {
-    InsNode* node = nullptr;
-    std::size_t ref_depth = 0;
-  };
-  std::vector<FixupSite> sites;
-  std::function<std::size_t(const InsNode&, const std::string&, std::size_t)>
-      depth_of = [&](const InsNode& node, const std::string& name,
-                     std::size_t depth) -> std::size_t {
-    if (node.rule != nullptr && node.rule->name() == name) return depth;
-    for (const InsNode& child : node.children) {
-      const std::size_t found = depth_of(child, name, depth + 1);
-      if (found != 0) return found;
-    }
-    return 0;
-  };
-  std::function<void(InsNode&)> collect = [&](InsNode& node) {
-    if (node.opaque) return;
-    if (node.rule != nullptr && node.rule->fixup().active() &&
-        node.rule->kind() == ChunkKind::Number) {
-      sites.push_back(
-          {&node, depth_of(tree.root, node.rule->fixup().ref, 1)});
-    }
-    for (InsNode& child : node.children) collect(child);
-  };
-  collect(tree.root);
-  std::stable_sort(sites.begin(), sites.end(),
-                   [](const FixupSite& a, const FixupSite& b) {
-                     return a.ref_depth > b.ref_depth;
-                   });
-  for (FixupSite& site : sites) {
-    const InsNode* ref = tree.root.find(site.node->rule->fixup().ref);
-    if (ref == nullptr) continue;
-    const NumberSpec& spec = site.node->rule->number_spec();
-    const std::uint64_t value =
-        fixup_value(site.node->rule->fixup().kind, ref->serialize());
-    Bytes encoded = encode_uint(value, spec.width, spec.endian);
-    if (encoded != site.node->content) {
-      site.node->content = std::move(encoded);
-      ++rewritten;
-    }
+  // Relations first: sizes never change (derived fields are fixed-width),
+  // so their order is immaterial; pre-order is the plan's.
+  for (const std::uint32_t node : plan.relations()) {
+    const NodeSpan& field = spans[node];
+    const NodeSpan& target = spans[plan[node].relation_target];
+    if (!field.present() || !target.present()) continue;
+    const Chunk& chunk = *plan[node].chunk;
+    rewritten += store_field(chunk.number_spec(),
+                             relation_value(chunk.relation(), target.size()),
+                             field, packet);
+  }
+  // Then checksums, innermost ref first; each reads the current bytes of
+  // its ref, its own included when the ref covers it.
+  for (const std::uint32_t node : plan.fixup_order()) {
+    const NodeSpan& field = spans[node];
+    const NodeSpan& ref = spans[plan[node].fixup_ref];
+    if (!field.present() || !ref.present()) continue;
+    const Chunk& chunk = *plan[node].chunk;
+    const std::uint64_t value = fixup_value(
+        chunk.fixup().kind, ByteSpan(packet.data() + ref.begin, ref.size()));
+    rewritten += store_field(chunk.number_spec(), value, field, packet);
   }
   return rewritten;
 }
 
-InsTree default_instance(const DataModel& model) {
+std::size_t apply_constraints(InsTree& tree) {
+  if (tree.model == nullptr) return 0;
+  const ModelPlan& plan = tree.model->plan();
+  TreeFlattener flat(plan);
+  flat.add(tree.root, tree.root.rule == plan[0].chunk ? 0 : kNoNode);
+  const std::size_t rewritten =
+      apply_constraints(plan, flat.spans, flat.packet);
+  for (const auto& [node, index] : flat.derived) {
+    const NodeSpan& span = flat.spans[index];
+    node->content.assign(flat.packet.begin() + span.begin,
+                         flat.packet.begin() + span.end);
+  }
+  return rewritten;
+}
+
+void Instance::reset(const DataModel& model) {
+  model_ = &model;
+  plan_ = &model.plan();
+  records_.clear();
+  free_leaves_.clear();
+  pool_.clear();
+  // A plan node is instantiated at most once, so these never grow after
+  // the largest model has been seen.
+  records_.reserve(model.plan().size());
+  free_leaves_.reserve(model.plan().size());
+  // Leaves are appended one at a time, so a pool grown by a rare large
+  // packet would end up just big enough for it; start well above what the
+  // shipped pits need (a few hundred bytes) instead.
+  reserve_doubling(pool_, kPoolFloor);
+}
+
+std::uint32_t Instance::open(std::uint32_t node) {
+  const auto record = static_cast<std::uint32_t>(records_.size());
+  records_.push_back(
+      Record{node, static_cast<std::uint32_t>(pool_.size()), 0, 0, 0});
+  if ((*plan_)[node].free_leaf) free_leaves_.push_back(record);
+  return record;
+}
+
+void Instance::close(std::uint32_t record) {
+  Record& rec = records_[record];
+  rec.end = static_cast<std::uint32_t>(records_.size());
+  if ((*plan_)[rec.node].leaf) {
+    rec.size = static_cast<std::uint32_t>(pool_.size()) - rec.offset;
+  }
+}
+
+void Instance::emit_defaults(std::uint32_t node, Rng* rng) {
+  const ModelPlan& plan = *plan_;
+  if (!plan[node].has_choice) {
+    // No pick to draw: the subtree's records follow the plan one to one and
+    // its default bytes are one contiguous run.
+    const PlanNode& top = plan[node];
+    const auto first = static_cast<std::uint32_t>(records_.size());
+    const auto base = static_cast<std::uint32_t>(pool_.size()) -
+                      top.default_begin;
+    pool_.insert(pool_.end(), plan.default_bytes().begin() + top.default_begin,
+                 plan.default_bytes().begin() + top.default_end);
+    for (std::uint32_t index = node; index < top.end; ++index) {
+      const PlanNode& sub = plan[index];
+      const auto record = static_cast<std::uint32_t>(records_.size());
+      if (sub.free_leaf) free_leaves_.push_back(record);
+      records_.push_back(Record{
+          index, base + sub.default_begin,
+          sub.leaf ? sub.default_end - sub.default_begin : 0,
+          first + (sub.end - node), 0});
+    }
+    return;
+  }
+  // A Choice, or a Block above one.
+  const std::uint32_t record = open(node);
+  if (plan[node].kind == ChunkKind::Choice) {
+    const std::size_t pick =
+        rng != nullptr ? rng->index(plan.child_count(node)) : 0;
+    emit_defaults(plan.child(node, pick), rng);
+  } else {
+    for (std::uint32_t child = node + 1; child < plan[node].end;
+         child = plan[child].end) {
+      emit_defaults(child, rng);
+    }
+  }
+  close(record);
+}
+
+void Instance::replace_content(std::uint32_t record, std::size_t start) {
+  records_[record].offset = static_cast<std::uint32_t>(start);
+  records_[record].size = static_cast<std::uint32_t>(pool_.size() - start);
+}
+
+std::size_t Instance::append_content(std::uint32_t record) {
+  const Record& rec = records_[record];
+  const std::size_t start = pool_.size();
+  pool_.resize(start + rec.size);
+  std::copy_n(pool_.begin() + rec.offset, rec.size, pool_.begin() + start);
+  return start;
+}
+
+void Instance::finish(Bytes& out, bool fixup) {
+  // Composite records have size 0, so the leaves' sizes add up to the
+  // packet and every record begins where the previous leaf ended.
+  std::uint32_t total = 0;
+  for (const Record& rec : records_) total += rec.size;
+  out.clear();
+  reserve_doubling(out, total);
+  out.resize(total);
+  // Leaves generated in order sit back to back in the pool: copy each run
+  // of adjacent contents with one memcpy.
+  std::uint32_t at = 0;
+  std::uint32_t run_offset = 0;
+  std::uint32_t run_size = 0;
+  const auto flush_run = [&] {
+    if (run_size == 0) return;
+    std::memcpy(out.data() + at - run_size, pool_.data() + run_offset,
+                run_size);
+  };
+  for (Record& rec : records_) {
+    rec.begin = at;
+    if (rec.size == 0) continue;
+    if (rec.offset != run_offset + run_size) {
+      flush_run();
+      run_offset = rec.offset;
+      run_size = 0;
+    }
+    run_size += rec.size;
+    at += rec.size;
+  }
+  flush_run();
+  spans_.assign(plan_->size(), NodeSpan{});
+  for (const Record& rec : records_) {
+    const std::uint32_t end =
+        rec.end < records_.size() ? records_[rec.end].begin : total;
+    spans_[rec.node] = NodeSpan{rec.begin, end};
+  }
+  if (fixup) apply_constraints(*plan_, spans_, out);
+}
+
+InsNode Instance::tree_node(std::uint32_t record, const Bytes& packet) const {
+  const Record& rec = records_[record];
+  const PlanNode& node = (*plan_)[rec.node];
+  InsNode out;
+  out.rule = node.chunk;
+  if (node.leaf) {
+    const NodeSpan& span = spans_[rec.node];
+    out.content.assign(packet.begin() + span.begin, packet.begin() + span.end);
+    return out;
+  }
+  for (std::uint32_t child = record + 1; child < rec.end;
+       child = records_[child].end) {
+    out.children.push_back(tree_node(child, packet));
+  }
+  if (node.kind == ChunkKind::Choice && record + 1 < rec.end) {
+    std::size_t pick = 0;
+    for (std::uint32_t alt = rec.node + 1; alt != records_[record + 1].node;
+         alt = (*plan_)[alt].end) {
+      ++pick;
+    }
+    out.choice_index = pick;
+  }
+  return out;
+}
+
+InsTree Instance::to_tree(const Bytes& packet) const {
   InsTree tree;
-  tree.model = &model;
-  tree.root = build_default(model.root());
-  apply_constraints(tree);
+  tree.model = model_;
+  if (!records_.empty()) tree.root = tree_node(0, packet);
   return tree;
+}
+
+InsTree default_instance(const DataModel& model) {
+  Instance instance;
+  instance.reset(model);
+  instance.emit_defaults(0, nullptr);
+  Bytes packet;
+  instance.finish(packet, true);
+  return instance.to_tree(packet);
 }
 
 std::string dump_tree(const InsTree& tree) {

@@ -61,40 +61,40 @@ std::uint64_t MutatorSuite::generate_number_value(const NumberSpec& spec,
   return rng.next_u64() & mask;
 }
 
-Bytes MutatorSuite::generate_string(const StringSpec& spec, Rng& rng) const {
+void MutatorSuite::generate_string(const StringSpec& spec, Rng& rng,
+                                   Bytes& out) const {
   std::size_t length;
   if (spec.length) {
     length = *spec.length;
   } else {
     length = static_cast<std::size_t>(rng.below(spec.max_generated + 1));
   }
-  std::string text;
+  const std::size_t start = out.size();
   const unsigned roll = static_cast<unsigned>(rng.below(100));
   if (roll < config_.default_value_pct) {
-    text = spec.default_value;
+    out.insert(out.end(), spec.default_value.begin(), spec.default_value.end());
   } else if (roll < config_.default_value_pct + 30 && length > 0) {
     // Compose from spicy fragments.
-    while (text.size() < length) {
+    while (out.size() - start < length) {
       const std::string_view fragment =
           kSpicyFragments[rng.index(std::size(kSpicyFragments))];
-      text.append(fragment);
+      out.insert(out.end(), fragment.begin(), fragment.end());
     }
   } else {
     for (std::size_t i = 0; i < length; ++i) {
-      text.push_back(static_cast<char>(rng.between('!', '~')));
+      out.push_back(static_cast<std::uint8_t>(rng.between('!', '~')));
     }
   }
   if (spec.length) {
-    text.resize(*spec.length, ' ');
-  } else if (text.size() > spec.max_generated) {
-    text.resize(spec.max_generated);
+    out.resize(start + *spec.length, ' ');
+  } else if (out.size() - start > spec.max_generated) {
+    out.resize(start + spec.max_generated);
   }
-  Bytes out = to_bytes(text);
   if (spec.null_terminated) out.push_back(0);
-  return out;
 }
 
-Bytes MutatorSuite::generate_blob(const BlobSpec& spec, Rng& rng) const {
+void MutatorSuite::generate_blob(const BlobSpec& spec, Rng& rng,
+                                 Bytes& out) const {
   std::size_t length;
   if (spec.length) {
     length = *spec.length;
@@ -106,34 +106,38 @@ Bytes MutatorSuite::generate_blob(const BlobSpec& spec, Rng& rng) const {
   }
   const unsigned roll = static_cast<unsigned>(rng.below(100));
   if (roll < config_.default_value_pct && !spec.default_value.empty()) {
-    Bytes out = spec.default_value;
-    if (spec.length) out.resize(*spec.length, 0);
-    return out;
+    const std::size_t start = out.size();
+    out.insert(out.end(), spec.default_value.begin(), spec.default_value.end());
+    if (spec.length) out.resize(start + *spec.length, 0);
+    return;
   }
   if (roll < config_.default_value_pct + 20) {
     // Repeating single byte — exercises run-length and loop paths.
-    return Bytes(length, rng.byte());
+    out.insert(out.end(), length, rng.byte());
+    return;
   }
-  return rng.bytes(length);
+  for (std::size_t i = 0; i < length; ++i) out.push_back(rng.byte());
 }
 
-Bytes MutatorSuite::generate_leaf(const Chunk& chunk, Rng& rng) const {
-  Bytes out;
+void MutatorSuite::generate_leaf_into(const Chunk& chunk, Rng& rng,
+                                      Bytes& out) const {
+  const std::size_t start = out.size();
   switch (chunk.kind()) {
     case ChunkKind::Number: {
       const NumberSpec& spec = chunk.number_spec();
       // Tokens and derived fields keep their defaults; relations/fixups are
-      // rewritten later by apply_constraints anyway.
+      // rewritten later by File Fixup anyway.
       const std::uint64_t value =
           spec.is_token ? spec.default_value : generate_number_value(spec, rng);
-      out = encode_uint(value, spec.width, spec.endian);
+      out.resize(start + spec.width);
+      store_uint(out.data() + start, value, spec.width, spec.endian);
       break;
     }
     case ChunkKind::String:
-      out = generate_string(chunk.string_spec(), rng);
+      generate_string(chunk.string_spec(), rng, out);
       break;
     case ChunkKind::Blob:
-      out = generate_blob(chunk.blob_spec(), rng);
+      generate_blob(chunk.blob_spec(), rng, out);
       break;
     case ChunkKind::Block:
     case ChunkKind::Choice:
@@ -151,13 +155,18 @@ Bytes MutatorSuite::generate_leaf(const Chunk& chunk, Rng& rng) const {
                              chunk.string_spec().length.has_value()) ||
                             (chunk.kind() == ChunkKind::Blob &&
                              chunk.blob_spec().length.has_value());
-  if (!is_token && !out.empty() &&
+  const std::size_t produced = out.size() - start;
+  if (!is_token && produced != 0 &&
       rng.chance(config_.post_mutate_pct, 100)) {
-    Bytes mutated = mutate_bytes(out, rng);
+    mutate_tail(out, start, rng);
     // Fixed-width fields must stay fixed-width.
-    if (fixed_length) mutated.resize(out.size(), 0);
-    out = std::move(mutated);
+    if (fixed_length) out.resize(start + produced, 0);
   }
+}
+
+Bytes MutatorSuite::generate_leaf(const Chunk& chunk, Rng& rng) const {
+  Bytes out;
+  generate_leaf_into(chunk, rng, out);
   return out;
 }
 
@@ -170,52 +179,61 @@ Bytes MutatorSuite::mutate_bytes(ByteSpan input, Rng& rng) const {
 void MutatorSuite::mutate_bytes_into(ByteSpan input, Bytes& out,
                                      Rng& rng) const {
   out.assign(input.begin(), input.end());
+  mutate_tail(out, 0, rng);
+}
+
+void MutatorSuite::mutate_tail(Bytes& buffer, std::size_t begin,
+                               Rng& rng) const {
+  const std::size_t size = buffer.size() - begin;
+  const auto at = [&](std::size_t i) {
+    return buffer.begin() + static_cast<std::ptrdiff_t>(begin + i);
+  };
   const std::uint64_t op = rng.below(6);
   switch (op) {
     case 0: {  // bit flip
-      if (out.empty()) break;
-      const std::size_t index = rng.index(out.size());
-      out[index] ^= static_cast<std::uint8_t>(1U << rng.below(8));
+      if (size == 0) break;
+      const std::size_t index = rng.index(size);
+      buffer[begin + index] ^= static_cast<std::uint8_t>(1U << rng.below(8));
       break;
     }
     case 1: {  // byte replace
-      if (out.empty()) break;
-      out[rng.index(out.size())] = rng.byte();
+      if (size == 0) break;
+      buffer[begin + rng.index(size)] = rng.byte();
       break;
     }
     case 2: {  // byte arithmetic +-1..16
-      if (out.empty()) break;
-      const std::size_t index = rng.index(out.size());
+      if (size == 0) break;
+      const std::size_t index = rng.index(size);
       const std::int64_t delta = static_cast<std::int64_t>(rng.between(1, 16));
-      out[index] = static_cast<std::uint8_t>(
-          static_cast<std::int64_t>(out[index]) +
+      buffer[begin + index] = static_cast<std::uint8_t>(
+          static_cast<std::int64_t>(buffer[begin + index]) +
           (rng.chance(1, 2) ? delta : -delta));
       break;
     }
     case 3: {  // block duplicate (splice a run of self)
-      if (out.empty()) break;
-      const std::size_t start = rng.index(out.size());
+      if (size == 0) break;
+      const std::size_t start = rng.index(size);
       const std::size_t length =
-          std::min<std::size_t>(out.size() - start,
+          std::min<std::size_t>(size - start,
                                 static_cast<std::size_t>(rng.between(1, 8)));
-      out.insert(out.begin() + static_cast<std::ptrdiff_t>(start),
-                 out.begin() + static_cast<std::ptrdiff_t>(start),
-                 out.begin() + static_cast<std::ptrdiff_t>(start + length));
+      // Shift the tail right by `length`; the run then appears twice.
+      buffer.resize(buffer.size() + length);
+      std::copy_backward(at(start), buffer.end() - static_cast<std::ptrdiff_t>(length),
+                         buffer.end());
       break;
     }
     case 4: {  // block remove
-      if (out.size() < 2) break;
-      const std::size_t start = rng.index(out.size() - 1);
+      if (size < 2) break;
+      const std::size_t start = rng.index(size - 1);
       const std::size_t length =
-          std::min<std::size_t>(out.size() - start - 1,
+          std::min<std::size_t>(size - start - 1,
                                 static_cast<std::size_t>(rng.between(1, 8)));
-      out.erase(out.begin() + static_cast<std::ptrdiff_t>(start),
-                out.begin() + static_cast<std::ptrdiff_t>(start + length));
+      buffer.erase(at(start), at(start + length));
       break;
     }
     default: {  // byte insert
-      const std::size_t at = out.empty() ? 0 : rng.index(out.size() + 1);
-      out.insert(out.begin() + static_cast<std::ptrdiff_t>(at), rng.byte());
+      const std::size_t index = size == 0 ? 0 : rng.index(size + 1);
+      buffer.insert(at(index), rng.byte());
       break;
     }
   }

@@ -2,8 +2,9 @@
 // generates data in these ways: random generation, mutation on default
 // value and mutation on existing chunks".
 //
-// `MutatorSuite::generate_leaf` produces the content of one leaf chunk by
-// picking one of those modes; `mutate_bytes` implements the byte-level
+// `MutatorSuite::generate_leaf_into` produces the content of one leaf chunk
+// by picking one of those modes, appending it to a caller-owned buffer (the
+// generators' instance pool); `mutate_bytes` implements the byte-level
 // mutation operators used for existing-chunk mutation.
 #pragma once
 
@@ -47,7 +48,12 @@ class MutatorSuite {
  public:
   explicit MutatorSuite(MutatorConfig config = {}) : config_(config) {}
 
-  /// Generates wire content for a leaf chunk (Number/String/Blob).
+  /// Generates wire content for a leaf chunk (Number/String/Blob) and
+  /// appends it to `out`; allocation-free once `out` has capacity.
+  void generate_leaf_into(const model::Chunk& chunk, Rng& rng,
+                          Bytes& out) const;
+
+  /// Value-returning generate_leaf_into (identical RNG draws).
   Bytes generate_leaf(const model::Chunk& chunk, Rng& rng) const;
 
   /// Generates a numeric value honouring the spec's legal values/bounds per
@@ -66,11 +72,17 @@ class MutatorSuite {
   /// ping-pong two scratch buffers (see Fuzzer::next_packet_into).
   void mutate_bytes_into(ByteSpan input, Bytes& out, Rng& rng) const;
 
+  /// In-place variant: mutates `buffer[begin, end)` as mutate_bytes would
+  /// mutate those bytes (identical RNG draws); the bytes before `begin`
+  /// are untouched.
+  void mutate_tail(Bytes& buffer, std::size_t begin, Rng& rng) const;
+
   [[nodiscard]] const MutatorConfig& config() const { return config_; }
 
  private:
-  Bytes generate_string(const model::StringSpec& spec, Rng& rng) const;
-  Bytes generate_blob(const model::BlobSpec& spec, Rng& rng) const;
+  void generate_string(const model::StringSpec& spec, Rng& rng,
+                       Bytes& out) const;
+  void generate_blob(const model::BlobSpec& spec, Rng& rng, Bytes& out) const;
 
   MutatorConfig config_;
 };

@@ -155,16 +155,21 @@ bool ByteWriter::patch_uint(std::size_t offset, std::uint64_t value,
 Bytes encode_uint(std::uint64_t value, std::size_t width, Endian endian) {
   if (width == 0 || width > 8) return {};
   Bytes out(width);
+  store_uint(out.data(), value, width, endian);
+  return out;
+}
+
+void store_uint(std::uint8_t* dst, std::uint64_t value, std::size_t width,
+                Endian endian) {
   if (endian == Endian::Big) {
     for (std::size_t i = 0; i < width; ++i) {
-      out[width - 1 - i] = static_cast<std::uint8_t>(value >> (8 * i));
+      dst[width - 1 - i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
   } else {
     for (std::size_t i = 0; i < width; ++i) {
-      out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+      dst[i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
   }
-  return out;
 }
 
 std::uint64_t decode_uint(ByteSpan span, Endian endian) {

@@ -134,6 +134,10 @@ class ByteWriter {
 /// Encodes `value` as `width` bytes with the requested byte order.
 Bytes encode_uint(std::uint64_t value, std::size_t width, Endian endian);
 
+/// Allocation-free encode_uint: writes the `width` (1..8) bytes to `dst`.
+void store_uint(std::uint8_t* dst, std::uint64_t value, std::size_t width,
+                Endian endian);
+
 /// Decodes `span` (1..8 bytes) as an unsigned integer; returns 0 for empty.
 std::uint64_t decode_uint(ByteSpan span, Endian endian);
 

@@ -15,20 +15,49 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
+  // The draws are defined here so that the generators' hot loops inline
+  // them and a constant bound (chance(n, 100), below(6)) compiles to a
+  // multiply instead of a division.
+
   /// Next raw 64-bit draw.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound); returns 0 when bound == 0.
-  std::uint64_t below(std::uint64_t bound);
+  std::uint64_t below(std::uint64_t bound) {
+    if (bound == 0) return 0;
+    // Rejection sampling to remove modulo bias: a draw is rejected iff it
+    // is below (2^64 - bound) % bound. That threshold is below `bound`, so
+    // it only needs computing for the rare draw that is too.
+    for (;;) {
+      const std::uint64_t draw = next_u64();
+      if (draw >= bound || draw >= (0ULL - bound) % bound) return draw % bound;
+    }
+  }
 
   /// Uniform in [lo, hi] inclusive; requires lo <= hi.
-  std::uint64_t between(std::uint64_t lo, std::uint64_t hi);
+  std::uint64_t between(std::uint64_t lo, std::uint64_t hi) {
+    if (hi <= lo) return lo;
+    return lo + below(hi - lo + 1);
+  }
 
   /// Bernoulli draw with probability numerator/denominator.
-  bool chance(std::uint64_t numerator, std::uint64_t denominator);
+  bool chance(std::uint64_t numerator, std::uint64_t denominator) {
+    if (denominator == 0) return false;
+    return below(denominator) < numerator;
+  }
 
   /// Uniform byte.
-  std::uint8_t byte();
+  std::uint8_t byte() { return static_cast<std::uint8_t>(next_u64() & 0xFF); }
 
   /// Uniform double in [0, 1).
   double unit();
@@ -69,6 +98,10 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
 };
 

@@ -12,9 +12,13 @@
 
 #include "bench/counting_allocator.hpp"
 #include "coverage/instrument.hpp"
+#include "fuzzer/cracker.hpp"
 #include "fuzzer/dedup.hpp"
 #include "fuzzer/executor.hpp"
+#include "fuzzer/instantiator.hpp"
+#include "fuzzer/semantic_gen.hpp"
 #include "mutation/mutator.hpp"
+#include "pits/pits.hpp"
 #include "protocols/dnp3/dnp3_server.hpp"
 #include "protocols/iccp/iccp_server.hpp"
 #include "protocols/iec104/iec104_server.hpp"
@@ -120,6 +124,43 @@ TEST(ZeroAllocation, ValueReturningMutateStillMatchesIntoVariant) {
     Bytes into;
     mutators.mutate_bytes_into(seed, into, rng_into);
     ASSERT_EQ(by_value, into) << "iteration " << i;
+  }
+}
+
+TEST(ZeroAllocation, GeneratorsSteadyStateAllocationFree) {
+  // Peach* generation (inherent and semantic-aware) writes each packet
+  // through the generator's reused instance arena into a reused buffer:
+  // once capacities converge, no packet allocates — for every pit.
+  for (const std::string& project : pits::all_project_names()) {
+    const model::DataModelSet models = pits::pit_for_project(project);
+    ASSERT_FALSE(models.empty()) << project;
+    PuzzleCorpus corpus;
+    const FileCracker cracker;
+    const ModelInstantiator instantiator;
+    const SemanticGenerator semantic({}, {});
+    Rng rng(0xA11CE);
+    Bytes out;
+    for (const model::DataModel& model : models.models()) {
+      for (int i = 0; i < 8; ++i) {
+        instantiator.generate_into(model, rng, out);
+        cracker.crack(models, out, corpus, rng);
+      }
+    }
+    ASSERT_FALSE(corpus.empty()) << project;
+
+    const auto round = [&](int packets) {
+      for (int i = 0; i < packets; ++i) {
+        const model::DataModel& model =
+            models.models()[rng.index(models.size())];
+        instantiator.generate_into(model, rng, out);
+        semantic.generate_into(model, corpus, rng, out);
+      }
+    };
+    round(20000);  // warm-up: pool, record and output capacities converge
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    round(4000);
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << project;
   }
 }
 

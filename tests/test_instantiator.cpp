@@ -3,6 +3,8 @@
 // independent full-field regeneration.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "fuzzer/instantiator.hpp"
 #include "pits/pits.hpp"
 
@@ -78,15 +80,16 @@ TEST(FreeLeaves, ExcludesTokensRelationsAndFixups) {
   const model::DataModelSet set = pits::modbus_pit();
   const model::DataModel* model = set.find("WriteMultipleRegisters");
   ASSERT_NE(model, nullptr);
-  ModelInstantiator instantiator;
-  Rng rng(3);
-  model::InsTree tree = instantiator.instantiate(*model, rng);
-  const auto leaves = ModelInstantiator::free_leaves(tree.root);
-  for (const model::InsNode* leaf : leaves) {
-    EXPECT_FALSE(leaf->rule->number_spec().is_token &&
-                 leaf->rule->kind() == model::ChunkKind::Number);
-    EXPECT_FALSE(leaf->rule->relation().active());
-    EXPECT_FALSE(leaf->rule->fixup().active());
+  std::vector<const model::Chunk*> leaves;
+  const model::ModelPlan& plan = model->plan();
+  for (std::uint32_t node = 0; node < plan.size(); ++node) {
+    if (plan[node].free_leaf) leaves.push_back(plan[node].chunk);
+  }
+  for (const model::Chunk* leaf : leaves) {
+    EXPECT_FALSE(leaf->number_spec().is_token &&
+                 leaf->kind() == model::ChunkKind::Number);
+    EXPECT_FALSE(leaf->relation().active());
+    EXPECT_FALSE(leaf->fixup().active());
   }
   // WriteMultipleRegisters free leaves: TransactionId, UnitId, Address,
   // Values blob (FunctionCode/ProtocolId are tokens; Quantity/ByteCount
@@ -105,6 +108,53 @@ TEST(SequentialProfile, ConstraintsStillHold) {
       const Bytes packet = instantiator.generate(model, rng);
       EXPECT_TRUE(model::parse_packet(model, packet).has_value())
           << model.name();
+    }
+  }
+}
+
+/// The chunks of `root` in pre-order — what a plan's nodes must point at.
+void preorder(const model::Chunk& chunk, std::vector<const model::Chunk*>& out) {
+  out.push_back(&chunk);
+  for (const model::Chunk& child : chunk.children()) preorder(child, out);
+}
+
+void expect_plan_points_into(const DataModel& model) {
+  std::vector<const model::Chunk*> chunks;
+  preorder(model.root(), chunks);
+  ASSERT_EQ(model.plan().size(), chunks.size()) << model.name();
+  for (std::uint32_t i = 0; i < chunks.size(); ++i) {
+    EXPECT_EQ(model.plan()[i].chunk, chunks[i]) << model.name() << " " << i;
+  }
+}
+
+std::vector<Bytes> generate_n(const DataModel& model, std::uint64_t seed) {
+  const ModelInstantiator instantiator;
+  Rng rng(seed);
+  std::vector<Bytes> out(64);
+  for (Bytes& packet : out) instantiator.generate_into(model, rng, packet);
+  return out;
+}
+
+TEST(CompiledPlan, MovedAndCopiedModelsGenerateIdenticalBytes) {
+  const model::DataModelSet set = pits::iec104_pit();
+  for (const DataModel& original : set.models()) {
+    const std::vector<Bytes> expected = generate_n(original, 11);
+
+    auto source = std::make_unique<DataModel>(original);
+    const DataModel copied(*source);
+    DataModel moved(std::move(*source));
+    source.reset();  // the plans must not point into the dead source
+
+    DataModel copy_assigned("placeholder", model::Chunk::block("p", {}));
+    copy_assigned = copied;
+    DataModel move_assigned("placeholder", model::Chunk::block("p", {}));
+    DataModel spare(copied);
+    move_assigned = std::move(spare);
+
+    for (const DataModel* model : std::initializer_list<const DataModel*>{
+             &copied, &moved, &copy_assigned, &move_assigned}) {
+      expect_plan_points_into(*model);
+      EXPECT_EQ(generate_n(*model, 11), expected) << original.name();
     }
   }
 }
