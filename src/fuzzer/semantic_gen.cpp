@@ -19,17 +19,22 @@ unsigned SemanticGenerator::roll_donor_intensity(Rng& rng) const {
   }
 }
 
+const std::vector<Bytes>* SemanticGenerator::donors(
+    const model::PlanNode& leaf, const PuzzleCorpus& corpus, Rng& rng) const {
+  const std::vector<Bytes>* pool = corpus.exact_candidates(leaf.rule_key);
+  if (pool == nullptr && rng.chance(config_.similar_tier_pct, 100)) {
+    pool = corpus.similar_candidates(leaf.shape_key);
+  }
+  return pool;
+}
+
 void SemanticGenerator::emit_with_donors(std::uint32_t node,
                                          const PuzzleCorpus& corpus, Rng& rng,
                                          unsigned donor_pct) const {
   const model::ModelPlan& plan = instance_.plan();
   const model::PlanNode& rule = plan[node];
   if (rule.free_leaf && rng.chance(donor_pct, 100)) {
-    const std::vector<Bytes>* pool = corpus.exact_candidates(rule.rule_key);
-    if (pool == nullptr && rng.chance(config_.similar_tier_pct, 100)) {
-      pool = corpus.similar_candidates(rule.shape_key);
-    }
-    if (pool != nullptr) {
+    if (const std::vector<Bytes>* pool = donors(rule, corpus, rng)) {
       const Bytes& donor = rng.pick(*pool);
       const std::uint32_t record = instance_.open(node);
       Bytes& bytes = instance_.pool();
@@ -90,12 +95,8 @@ void SemanticGenerator::generate_into(const model::DataModel& model,
     const unsigned donor_pct = roll_donor_intensity(rng);
     for (const std::uint32_t leaf : leaves) {
       if (!rng.chance(donor_pct, 100)) continue;
-      const model::PlanNode& rule = instance_.node_of(leaf);
-      const std::vector<Bytes>* pool = corpus.exact_candidates(rule.rule_key);
-      if (pool == nullptr && rng.chance(config_.similar_tier_pct, 100)) {
-        pool = corpus.similar_candidates(rule.shape_key);
-      }
-      if (pool != nullptr) {
+      if (const std::vector<Bytes>* pool =
+              donors(instance_.node_of(leaf), corpus, rng)) {
         const Bytes& donor = rng.pick(*pool);
         const std::size_t start = bytes.size();
         bytes.insert(bytes.end(), donor.begin(), donor.end());

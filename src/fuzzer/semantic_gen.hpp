@@ -79,6 +79,11 @@ class SemanticGenerator {
     const Bytes* bytes = nullptr;
   };
 
+  /// Donor candidates for free leaf `leaf`: the exact tier, else (with
+  /// probability similar_tier_pct) the similar tier; null when none.
+  const std::vector<Bytes>* donors(const model::PlanNode& leaf,
+                                   const PuzzleCorpus& corpus, Rng& rng) const;
+
   /// Generates plan node `node`'s subtree, splicing a donor at each free
   /// leaf with probability `donor_pct`.
   void emit_with_donors(std::uint32_t node, const PuzzleCorpus& corpus,

@@ -284,53 +284,76 @@ std::size_t store_field(const NumberSpec& spec, std::uint64_t value,
   return 1;
 }
 
-/// Serializes an InsTree for the File Fixup pass, mapping each node that
-/// follows the model to its plan node.
-struct TreeFlattener {
-  explicit TreeFlattener(const ModelPlan& plan)
-      : plan(plan), spans(plan.size()) {}
+/// File Fixup, the one pass: rewrites in place in `packet` every present
+/// relation field of `plan` (pre-order), then every present checksum fixup
+/// in the plan's fixup order. `spans` is indexed by plan node; a field whose
+/// target or ref is absent keeps its bytes. Returns the number of fields
+/// whose bytes changed.
+std::size_t fix_in_place(const ModelPlan& plan,
+                         std::span<const NodeSpan> spans,
+                         std::span<std::uint8_t> packet) {
+  std::size_t rewritten = 0;
+  // Relations first: sizes never change (derived fields are fixed-width),
+  // so their order is immaterial; pre-order is the plan's.
+  for (const std::uint32_t node : plan.relations()) {
+    const NodeSpan& field = spans[node];
+    const NodeSpan& target = spans[plan[node].relation_target];
+    if (!field.present() || !target.present()) continue;
+    const Chunk& chunk = *plan[node].chunk;
+    rewritten += store_field(chunk.number_spec(),
+                             relation_value(chunk.relation(), target.size()),
+                             field, packet);
+  }
+  // Then checksums, innermost ref first; each reads the current bytes of
+  // its ref, its own included when the ref covers it.
+  for (const std::uint32_t node : plan.fixup_order()) {
+    const NodeSpan& field = spans[node];
+    const NodeSpan& ref = spans[plan[node].fixup_ref];
+    if (!field.present() || !ref.present()) continue;
+    const Chunk& chunk = *plan[node].chunk;
+    const std::uint64_t value = fixup_value(
+        chunk.fixup().kind, ByteSpan(packet.data() + ref.begin, ref.size()));
+    rewritten += store_field(chunk.number_spec(), value, field, packet);
+  }
+  return rewritten;
+}
 
-  void add(InsNode& node, std::uint32_t index) {
-    const auto begin = static_cast<std::uint32_t>(packet.size());
-    if (node.rule != nullptr && node.rule->is_leaf()) {
-      const bool is_derived = index != kNoNode &&
-                              (plan[index].relation_target != kNoNode ||
-                               plan[index].fixup_ref != kNoNode);
-      if (is_derived) {
-        // Derived fields are rewritten in place: give them their width.
-        const std::size_t width = node.rule->number_spec().width;
-        const std::size_t copied = std::min(width, node.content.size());
-        packet.insert(packet.end(), node.content.begin(),
-                      node.content.begin() + static_cast<std::ptrdiff_t>(copied));
-        packet.resize(begin + width, 0);
-        derived.emplace_back(&node, index);
-      } else {
-        append(packet, node.content);
+/// Loads the subtree `node`, which instantiates plan node `index`, into
+/// `instance`, noting the derived fields for write-back. A derived field
+/// gets exactly its Number width. Returns false when the tree does not
+/// follow the model.
+bool load_tree(Instance& instance, InsNode& node, std::uint32_t index,
+               std::vector<std::pair<InsNode*, std::uint32_t>>& derived) {
+  const ModelPlan& plan = instance.plan();
+  if (plan[index].chunk != node.rule) return false;
+  const std::uint32_t record = instance.open(index);
+  if (plan[index].leaf) {
+    Bytes& pool = instance.pool();
+    const std::size_t start = pool.size();
+    pool.insert(pool.end(), node.content.begin(), node.content.end());
+    if (plan[index].relation_target != kNoNode ||
+        plan[index].fixup_ref != kNoNode) {
+      pool.resize(start + node.rule->number_spec().width, 0);
+      derived.emplace_back(&node, index);
+    }
+  } else {
+    std::uint32_t child = index + 1;
+    for (InsNode& sub : node.children) {
+      // A Choice instantiates one of its alternatives; a Block all of its
+      // children, in order.
+      while (child < plan[index].end && plan[child].chunk != sub.rule) {
+        child = plan[child].end;
       }
-    } else {
-      for (InsNode& child : node.children) add(child, match(index, child.rule));
-    }
-    if (index != kNoNode) {
-      spans[index] = NodeSpan{begin, static_cast<std::uint32_t>(packet.size())};
+      if (child >= plan[index].end ||
+          !load_tree(instance, sub, child, derived)) {
+        return false;
+      }
+      child = plan[child].end;
     }
   }
-
-  /// The child of plan node `parent` whose chunk is `rule`, or kNoNode.
-  [[nodiscard]] std::uint32_t match(std::uint32_t parent,
-                                    const Chunk* rule) const {
-    if (parent == kNoNode) return kNoNode;
-    for (std::uint32_t child = parent + 1; child < plan[parent].end;
-         child = plan[child].end) {
-      if (plan[child].chunk == rule) return child;
-    }
-    return kNoNode;
-  }
-
-  const ModelPlan& plan;
-  std::vector<NodeSpan> spans;
-  Bytes packet;
-  std::vector<std::pair<InsNode*, std::uint32_t>> derived;
-};
+  instance.close(record);
+  return true;
+}
 
 }  // namespace
 
@@ -384,46 +407,18 @@ std::optional<InsTree> parse_packet(const DataModel& model, ByteSpan packet,
   return parser.run();
 }
 
-std::size_t apply_constraints(const ModelPlan& plan,
-                              std::span<const NodeSpan> spans,
-                              std::span<std::uint8_t> packet) {
-  std::size_t rewritten = 0;
-  // Relations first: sizes never change (derived fields are fixed-width),
-  // so their order is immaterial; pre-order is the plan's.
-  for (const std::uint32_t node : plan.relations()) {
-    const NodeSpan& field = spans[node];
-    const NodeSpan& target = spans[plan[node].relation_target];
-    if (!field.present() || !target.present()) continue;
-    const Chunk& chunk = *plan[node].chunk;
-    rewritten += store_field(chunk.number_spec(),
-                             relation_value(chunk.relation(), target.size()),
-                             field, packet);
-  }
-  // Then checksums, innermost ref first; each reads the current bytes of
-  // its ref, its own included when the ref covers it.
-  for (const std::uint32_t node : plan.fixup_order()) {
-    const NodeSpan& field = spans[node];
-    const NodeSpan& ref = spans[plan[node].fixup_ref];
-    if (!field.present() || !ref.present()) continue;
-    const Chunk& chunk = *plan[node].chunk;
-    const std::uint64_t value = fixup_value(
-        chunk.fixup().kind, ByteSpan(packet.data() + ref.begin, ref.size()));
-    rewritten += store_field(chunk.number_spec(), value, field, packet);
-  }
-  return rewritten;
-}
-
 std::size_t apply_constraints(InsTree& tree) {
   if (tree.model == nullptr) return 0;
-  const ModelPlan& plan = tree.model->plan();
-  TreeFlattener flat(plan);
-  flat.add(tree.root, tree.root.rule == plan[0].chunk ? 0 : kNoNode);
-  const std::size_t rewritten =
-      apply_constraints(plan, flat.spans, flat.packet);
-  for (const auto& [node, index] : flat.derived) {
-    const NodeSpan& span = flat.spans[index];
-    node->content.assign(flat.packet.begin() + span.begin,
-                         flat.packet.begin() + span.end);
+  Instance instance;
+  instance.reset(*tree.model);
+  std::vector<std::pair<InsNode*, std::uint32_t>> derived;
+  if (!load_tree(instance, tree.root, 0, derived)) return 0;
+  Bytes packet;
+  const std::size_t rewritten = instance.finish(packet, true);
+  for (const auto& [node, index] : derived) {
+    const NodeSpan& span = instance.span(index);
+    node->content.assign(packet.begin() + span.begin,
+                         packet.begin() + span.end);
   }
   return rewritten;
 }
@@ -510,7 +505,7 @@ std::size_t Instance::append_content(std::uint32_t record) {
   return start;
 }
 
-void Instance::finish(Bytes& out, bool fixup) {
+std::size_t Instance::finish(Bytes& out, bool fixup) {
   // Composite records have size 0, so the leaves' sizes add up to the
   // packet and every record begins where the previous leaf ended.
   std::uint32_t total = 0;
@@ -546,7 +541,7 @@ void Instance::finish(Bytes& out, bool fixup) {
         rec.end < records_.size() ? records_[rec.end].begin : total;
     spans_[rec.node] = NodeSpan{rec.begin, end};
   }
-  if (fixup) apply_constraints(*plan_, spans_, out);
+  return fixup ? fix_in_place(*plan_, spans_, out) : 0;
 }
 
 InsNode Instance::tree_node(std::uint32_t record, const Bytes& packet) const {

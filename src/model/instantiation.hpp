@@ -21,7 +21,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -106,19 +105,11 @@ struct NodeSpan {
   [[nodiscard]] std::size_t size() const { return end - begin; }
 };
 
-/// File Fixup, the one pass: rewrites in place in `packet` every present
-/// relation field of `plan` (pre-order), then every present checksum fixup
-/// (in the plan's fixup order). `spans` is indexed by plan node. A field
-/// whose target or ref is absent keeps its bytes. Returns the number of
-/// fields whose bytes changed.
-std::size_t apply_constraints(const ModelPlan& plan,
-                              std::span<const NodeSpan> spans,
-                              std::span<std::uint8_t> packet);
-
-/// File Fixup on a tree (parsed or hand-built): serializes it, runs the
-/// pass above and writes the derived fields back. A derived field whose
-/// content is not its Number width is first zero-padded or truncated to it.
-/// Returns the number of fields rewritten.
+/// File Fixup on a tree (parsed or hand-built): loads it into an Instance,
+/// runs the one pass of Instance::finish and writes the derived fields
+/// back. A derived field whose content is not its Number width is first
+/// zero-padded or truncated to it. Returns the number of fields rewritten;
+/// a tree that does not follow its model is left as it is (0).
 std::size_t apply_constraints(InsTree& tree);
 
 /// The generators' reusable instantiation arena (see the file comment).
@@ -164,8 +155,17 @@ class Instance {
   std::size_t append_content(std::uint32_t record);
 
   /// Serializes the instance into `out` (cleared first, capacity kept),
-  /// recording every node's span, then runs File Fixup when `fixup`.
-  void finish(Bytes& out, bool fixup);
+  /// recording every node's span, then runs File Fixup when `fixup`: one
+  /// in-place pass that rewrites every present relation field (pre-order),
+  /// then every present checksum fixup in the plan's order. A field whose
+  /// target or ref is absent keeps its bytes. Returns the number of fields
+  /// whose bytes changed.
+  std::size_t finish(Bytes& out, bool fixup);
+
+  /// Span of plan node `node` in the packet last finished.
+  [[nodiscard]] const NodeSpan& span(std::uint32_t node) const {
+    return spans_[node];
+  }
 
   /// The instance last finished into `packet`, as an InsTree.
   [[nodiscard]] InsTree to_tree(const Bytes& packet) const;
