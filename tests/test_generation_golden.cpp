@@ -9,7 +9,9 @@
 //     File Fixup on and off (Algorithm 3 + §IV-D);
 //   * SemanticGenerator::generate_batch (the post-crack p x q batch);
 //   * model::default_instance;
-//   * SessionSequencer::generate_into.
+//   * SessionSequencer::generate_into;
+//   * SessionSequencer::mutate_stream_into, over a chain of its own outputs
+//     and a stream past the framing layer's message cap.
 //
 // A digest changes whenever any output byte or any RNG draw changes, so a
 // refactor of the generators passes only if it is byte-identical, draw for
@@ -248,6 +250,7 @@ struct Digests {
   std::uint64_t batch = 0;
   std::uint64_t defaults = 0;
   std::uint64_t session = 0;
+  std::uint64_t session_mutate = 0;
 };
 
 /// The fixed cracked corpus: every model's default instance plus a few
@@ -344,6 +347,36 @@ Digests compute(const PitSource& source, std::uint64_t seed) {
     }
     d.session = digest.value();
   }
+  {
+    session::SequencerConfig config;
+    config.enabled = true;
+    config.project = source.project;
+    config.framing = session::framing_for_project(source.project);
+    const fuzz::ModelInstantiator instantiator;
+    session::SessionSequencer sequencer(config, set, instantiator);
+    Rng rng(seed + 5);
+    Digest digest;
+    Bytes stream;
+    for (int i = 0; i < kSessionStreams; ++i) {
+      // A fresh stream every fourth round; otherwise the previous output,
+      // so mutations compound (drops, duplicates, torn tails).
+      if (i % 4 == 0) sequencer.generate_into(rng, stream);
+      sequencer.mutate_stream_into(ByteSpan(stream), rng, out);
+      digest.add(out);
+      stream.swap(out);
+    }
+    // One generated stream repeated 300 times: on a framed protocol that is
+    // more messages than the framing layer's cap, so the split ends in a
+    // raw residue tail.
+    sequencer.generate_into(rng, stream);
+    Bytes flood;
+    for (int r = 0; r < 300; ++r) append(flood, ByteSpan(stream));
+    for (int i = 0; i < 4; ++i) {
+      sequencer.mutate_stream_into(ByteSpan(flood), rng, out);
+      digest.add(out);
+    }
+    d.session_mutate = digest.value();
+  }
   return d;
 }
 
@@ -355,33 +388,47 @@ struct Golden {
 // clang-format off
 constexpr Golden kGolden[] = {
     {"modbus", {0x273277bedc9dad83ULL, 0xad5bc2133507827dULL, 0x475e397b33677de9ULL,
-      0x29a56460b5b476ceULL, 0xf341fec34a809b35ULL, 0xdbe0e1d68169775bULL}},
+      0x29a56460b5b476ceULL, 0xf341fec34a809b35ULL, 0xdbe0e1d68169775bULL,
+      0xba6e510ad080b495ULL}},
     {"iec104", {0x18137c2ca0c4427cULL, 0x620dc4518c09f3ccULL, 0xb62c927529c0b755ULL,
-      0x48527966caa603dfULL, 0x4f60c98e519ea7b1ULL, 0x75ac2b35b1ad964aULL}},
+      0x48527966caa603dfULL, 0x4f60c98e519ea7b1ULL, 0x75ac2b35b1ad964aULL,
+      0x8b42bd34bbc41ef7ULL}},
     {"cs101", {0x4f5a14bdb008f0c7ULL, 0x6f02d694b9f710b1ULL, 0xdff2188b52ae36d3ULL,
-      0x1eca510492e42c26ULL, 0x8aa7e184ca2d2ba3ULL, 0x84dd8be5e5104b77ULL}},
+      0x1eca510492e42c26ULL, 0x8aa7e184ca2d2ba3ULL, 0x84dd8be5e5104b77ULL,
+      0x7eb920e72d928fa0ULL}},
     {"iccp", {0x0032b3c5a804664bULL, 0x4436f2702d63a8f3ULL, 0x09e0a8073f228ea4ULL,
-      0x395c8dcae71f0aeeULL, 0xf3dedc70a3e870bdULL, 0x5d26e176fcbfca5fULL}},
+      0x395c8dcae71f0aeeULL, 0xf3dedc70a3e870bdULL, 0x5d26e176fcbfca5fULL,
+      0x49b0750d0122d8e0ULL}},
     {"dnp3", {0x3159972ce8d79d2dULL, 0x0c57216d61994605ULL, 0x2de98f2bb536dcc5ULL,
-      0xc9ecaf79b0e42ff4ULL, 0xc2fc49e542ecd989ULL, 0x373faebcbef973c8ULL}},
+      0xc9ecaf79b0e42ff4ULL, 0xc2fc49e542ecd989ULL, 0x373faebcbef973c8ULL,
+      0x08c8ce8ede27bb1bULL}},
     {"mms", {0x425542780fca1f0aULL, 0xf798ac3d51d2a111ULL, 0x56caa9684fb90484ULL,
-      0x78d074a6f5c90f54ULL, 0x1b7091882914c845ULL, 0x248eeae6c48d56b9ULL}},
+      0x78d074a6f5c90f54ULL, 0x1b7091882914c845ULL, 0x248eeae6c48d56b9ULL,
+      0x46f5aaabd1ee452aULL}},
     {"modbus.xml", {0xbc4e5dbb3da525b4ULL, 0x82232f310e5f1cc7ULL, 0x9d76817e4ace9fb0ULL,
-      0xc38d5135a16631f8ULL, 0x6b80958ff61449afULL, 0x45c046e639ed063fULL}},
+      0xc38d5135a16631f8ULL, 0x6b80958ff61449afULL, 0x45c046e639ed063fULL,
+      0x0692373369338278ULL}},
     {"iec104.xml", {0xecc7c06bc5feeaaaULL, 0x10fbfa52c84f1695ULL, 0x6dfa458e16497b0cULL,
-      0x5f9e4a336a28309fULL, 0xa0f261aebddf296aULL, 0x3a9224b60b5d44daULL}},
+      0x5f9e4a336a28309fULL, 0xa0f261aebddf296aULL, 0x3a9224b60b5d44daULL,
+      0x656915a8e055f78aULL}},
     {"cs101.xml", {0xc68f51292f01356bULL, 0xb0b0299b9c145363ULL, 0x9ff3a5f5c19c4ee4ULL,
-      0x5d568fb212fe6884ULL, 0xf24fd593b50c991aULL, 0xad9a1febb6154234ULL}},
+      0x5d568fb212fe6884ULL, 0xf24fd593b50c991aULL, 0xad9a1febb6154234ULL,
+      0x85140f6d6d6cdd6bULL}},
     {"iccp.xml", {0x35f9b5f00cff839aULL, 0x7c613300575afbefULL, 0x37e895d231b08e64ULL,
-      0xf00e88a3460a6739ULL, 0x22612e348409e8b5ULL, 0x35f1d2cd6bc26893ULL}},
+      0xf00e88a3460a6739ULL, 0x22612e348409e8b5ULL, 0x35f1d2cd6bc26893ULL,
+      0x663f40a8e8261f4dULL}},
     {"dnp3.xml", {0x2f7d379eaa31029fULL, 0x567a28d77caaa48fULL, 0xe3f2d8b8f8d85bdbULL,
-      0x19c359f25825e679ULL, 0x60ab7446edf7ed19ULL, 0x4ca09e053faa3d4cULL}},
+      0x19c359f25825e679ULL, 0x60ab7446edf7ed19ULL, 0x4ca09e053faa3d4cULL,
+      0x8009f3a5a9646d4fULL}},
     {"mms.xml", {0x32be24ad8601d5d2ULL, 0x49de567b28a3b096ULL, 0x6d39a53962cd70f4ULL,
-      0xb020ed765601a4eaULL, 0x0ac21a16a8b50581ULL, 0x9d608d7f3540565dULL}},
+      0xb020ed765601a4eaULL, 0x0ac21a16a8b50581ULL, 0x9d608d7f3540565dULL,
+      0x34e3f9988804c94cULL}},
     {"traps", {0x2eb7dd30b0528652ULL, 0x2ef08915fa014d15ULL, 0x4d7be0a5481dbb4cULL,
-      0x7a439cd6d15109b1ULL, 0x82938cc61b4533ceULL, 0x2459f1beffc276f3ULL}},
+      0x7a439cd6d15109b1ULL, 0x82938cc61b4533ceULL, 0x2459f1beffc276f3ULL,
+      0x727474f5f7f75ca9ULL}},
     {"choice-traps", {0x1408d1f0c63d39cdULL, 0x141b424a070c73f1ULL, 0xeb6424e2b8cb74c0ULL,
-      0x6ce070f847a2652cULL, 0x9659c16ca17ea324ULL, 0xd70d6d54e7ee747fULL}},
+      0x6ce070f847a2652cULL, 0x9659c16ca17ea324ULL, 0xd70d6d54e7ee747fULL,
+      0x4c7a40e219be9d27ULL}},
 };
 // clang-format on
 
@@ -395,9 +442,11 @@ TEST(GoldenGeneration, DigestsMatchPinnedValues) {
     std::snprintf(line, sizeof line,
                   "    {\"%s\", {0x%016" PRIx64 "ULL, 0x%016" PRIx64
                   "ULL, 0x%016" PRIx64 "ULL,\n      0x%016" PRIx64
-                  "ULL, 0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL}},\n",
+                  "ULL, 0x%016" PRIx64 "ULL, 0x%016" PRIx64
+                  "ULL,\n      0x%016" PRIx64 "ULL}},\n",
                   all[i].label, d.instantiate, d.semantic,
-                  d.semantic_no_fixup, d.batch, d.defaults, d.session);
+                  d.semantic_no_fixup, d.batch, d.defaults, d.session,
+                  d.session_mutate);
     table += line;
     const Golden* golden = nullptr;
     for (const Golden& g : kGolden) {
@@ -413,7 +462,8 @@ TEST(GoldenGeneration, DigestsMatchPinnedValues) {
                        d.semantic == want.semantic &&
                        d.semantic_no_fixup == want.semantic_no_fixup &&
                        d.batch == want.batch && d.defaults == want.defaults &&
-                       d.session == want.session;
+                       d.session == want.session &&
+                       d.session_mutate == want.session_mutate;
     EXPECT_EQ(d.instantiate, want.instantiate) << all[i].label << " instantiate";
     EXPECT_EQ(d.semantic, want.semantic) << all[i].label << " semantic";
     EXPECT_EQ(d.semantic_no_fixup, want.semantic_no_fixup)
@@ -421,6 +471,8 @@ TEST(GoldenGeneration, DigestsMatchPinnedValues) {
     EXPECT_EQ(d.batch, want.batch) << all[i].label << " generate_batch";
     EXPECT_EQ(d.defaults, want.defaults) << all[i].label << " default_instance";
     EXPECT_EQ(d.session, want.session) << all[i].label << " session";
+    EXPECT_EQ(d.session_mutate, want.session_mutate)
+        << all[i].label << " session mutate_stream_into";
     all_match = all_match && match;
   }
   if (!all_match) std::printf("actual digests:\n%s", table.c_str());
