@@ -208,7 +208,7 @@ SessionSequencer::SessionSequencer(SequencerConfig config,
 void SessionSequencer::instantiate_step(const SessionStep& step, Rng& rng) {
   if (step.kind == SessionStep::Kind::kLiteral) {
     if (messages_.size() < kMaxGeneratedMessages) {
-      messages_.push_back(step.literal);
+      messages_.push_back(pool_append(ByteSpan(step.literal)));
     }
     return;
   }
@@ -222,15 +222,21 @@ void SessionSequencer::instantiate_step(const SessionStep& step, Rng& rng) {
       // templates survive pit sets that lack a named choreography model.
       model = &models_.models()[rng.index(models_.size())];
     }
-    Bytes message;
-    instantiator_.generate_into(*model, rng, message);
+    instantiator_.generate_into(*model, rng, message_);
     if (rng.chance(config_.mutate_message_pct, 100)) {
-      instantiator_.mutators().mutate_bytes_into(ByteSpan(message), scratch_,
+      instantiator_.mutators().mutate_bytes_into(ByteSpan(message_), scratch_,
                                                  rng);
-      message.swap(scratch_);
+      messages_.push_back(pool_append(ByteSpan(scratch_)));
+    } else {
+      messages_.push_back(pool_append(ByteSpan(message_)));
     }
-    messages_.push_back(std::move(message));
   }
+}
+
+MessageRange SessionSequencer::pool_append(ByteSpan bytes) {
+  const MessageRange range{pool_.size(), bytes.size()};
+  pool_.insert(pool_.end(), bytes.begin(), bytes.end());
+  return range;
 }
 
 void SessionSequencer::mutate_sequence(Rng& rng) {
@@ -248,8 +254,16 @@ void SessionSequencer::mutate_sequence(Rng& rng) {
       case 1: {  // duplicate a message in place
         if (messages_.size() >= kMaxGeneratedMessages) break;
         const std::size_t i = rng.index(messages_.size());
+        // The copy gets bytes of its own at the end of the pool (resize
+        // first: the source lies in the pool, which may move).
+        const MessageRange source = messages_[i];
+        const MessageRange copy{pool_.size(), source.length};
+        pool_.resize(copy.offset + copy.length);
+        std::copy_n(pool_.begin() + static_cast<std::ptrdiff_t>(source.offset),
+                    source.length,
+                    pool_.begin() + static_cast<std::ptrdiff_t>(copy.offset));
         messages_.insert(messages_.begin() + static_cast<std::ptrdiff_t>(i),
-                         messages_[i]);
+                         copy);
         break;
       }
       case 2: {  // reorder: swap two messages
@@ -262,10 +276,8 @@ void SessionSequencer::mutate_sequence(Rng& rng) {
       }
       default: {  // truncate the stream mid-message
         const std::size_t i = rng.index(messages_.size());
-        Bytes& victim = messages_[i];
-        if (!victim.empty()) {
-          victim.resize(rng.index(victim.size()));
-        }
+        MessageRange& victim = messages_[i];
+        if (victim.length != 0) victim.length = rng.index(victim.length);
         // Everything after the torn message would re-frame arbitrarily;
         // ending the stream here exercises the residue path instead.
         messages_.resize(i + 1);
@@ -282,8 +294,9 @@ void SessionSequencer::apply_iec104_fixup() {
   // so N(R) stays 0. Rewriting the four sequence octets of every I-format
   // APCI (control octet LSB 0) is the session analogue of File Fixup.
   std::uint16_t send_seq = 0;
-  for (Bytes& message : messages_) {
-    if (message.size() < 6 || message[0] != 0x68) continue;
+  for (const MessageRange& range : messages_) {
+    std::uint8_t* message = pool_.data() + range.offset;
+    if (range.length < 6 || message[0] != 0x68) continue;
     if ((message[2] & 0x01) != 0) continue;  // U or S format
     message[2] = static_cast<std::uint8_t>((send_seq << 1) & 0xFE);
     message[3] = static_cast<std::uint8_t>(send_seq >> 7);
@@ -296,14 +309,17 @@ void SessionSequencer::apply_iec104_fixup() {
 void SessionSequencer::serialize_into(Bytes& out) const {
   out.clear();
   std::size_t total = 0;
-  for (const Bytes& message : messages_) total += message.size();
+  for (const MessageRange& range : messages_) total += range.length;
   out.reserve(total);
-  for (const Bytes& message : messages_) append(out, ByteSpan(message));
+  for (const MessageRange& range : messages_) {
+    append(out, ByteSpan(pool_.data() + range.offset, range.length));
+  }
   if (out.size() > kMaxSessionStreamBytes) out.resize(kMaxSessionStreamBytes);
 }
 
 void SessionSequencer::generate_into(Rng& rng, Bytes& out) {
   messages_.clear();
+  pool_.clear();
   const SessionTemplate& tpl = templates_[rng.index(templates_.size())];
   for (const SessionStep& step : tpl.steps) instantiate_step(step, rng);
   if (rng.chance(config_.sequence_mutation_pct, 100)) mutate_sequence(rng);
@@ -313,19 +329,18 @@ void SessionSequencer::generate_into(Rng& rng, Bytes& out) {
 
 void SessionSequencer::mutate_stream_into(ByteSpan stream, Rng& rng,
                                           Bytes& out) {
-  std::vector<MessageRange> ranges;
-  split_stream(config_.framing, stream, ranges);
-  messages_.clear();
-  messages_.reserve(ranges.size());
-  for (const MessageRange& range : ranges) {
-    const std::uint8_t* data = stream.data() + range.offset;
-    messages_.emplace_back(data, data + range.length);
-  }
+  // The canonical split's ranges index the stream, so a pool holding the
+  // considered prefix of the stream serves them as they are.
+  split_stream(config_.framing, stream, messages_);
+  const std::size_t considered =
+      messages_.empty() ? 0 : messages_.back().offset + messages_.back().length;
+  pool_.assign(stream.begin(),
+               stream.begin() + static_cast<std::ptrdiff_t>(considered));
   if (!messages_.empty() && rng.chance(config_.mutate_message_pct, 100)) {
-    Bytes& victim = messages_[rng.index(messages_.size())];
-    instantiator_.mutators().mutate_bytes_into(ByteSpan(victim), scratch_,
-                                               rng);
-    victim.swap(scratch_);
+    MessageRange& victim = messages_[rng.index(messages_.size())];
+    instantiator_.mutators().mutate_bytes_into(
+        ByteSpan(pool_.data() + victim.offset, victim.length), scratch_, rng);
+    victim = pool_append(ByteSpan(scratch_));
   }
   mutate_sequence(rng);
   if (rng.chance(config_.fixup_pct, 100)) apply_iec104_fixup();

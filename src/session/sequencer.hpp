@@ -21,6 +21,7 @@
 
 #include "fuzzer/instantiator.hpp"
 #include "model/data_model.hpp"
+#include "session/framing.hpp"
 #include "session/session_types.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -115,6 +116,8 @@ class SessionSequencer {
 
  private:
   void instantiate_step(const SessionStep& step, Rng& rng);
+  /// Copies `bytes` (never the pool's own) to the end of the pool.
+  MessageRange pool_append(ByteSpan bytes);
   void mutate_sequence(Rng& rng);
   void apply_iec104_fixup();
   void serialize_into(Bytes& out) const;
@@ -123,8 +126,13 @@ class SessionSequencer {
   const model::DataModelSet& models_;
   const fuzz::ModelInstantiator& instantiator_;
   std::vector<SessionTemplate> templates_;
-  /// Message list under construction (reused across calls).
-  std::vector<Bytes> messages_;
+  /// Message list under construction: ranges over `pool_`, in stream
+  /// order. No two ranges share bytes, so a message rewritten in place
+  /// (truncation, the IEC 104 fixup) changes only itself. Both buffers
+  /// are reused across calls, so a warmed-up sequencer never allocates.
+  std::vector<MessageRange> messages_;
+  Bytes pool_;
+  Bytes message_;
   Bytes scratch_;
 };
 

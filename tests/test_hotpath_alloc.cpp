@@ -27,6 +27,8 @@
 #include "protocols/modbus/modbus_server.hpp"
 #include "protocols/protocol_target.hpp"
 #include "sanitizer/fault.hpp"
+#include "session/framing.hpp"
+#include "session/sequencer.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
 
@@ -159,6 +161,38 @@ TEST(ZeroAllocation, GeneratorsSteadyStateAllocationFree) {
     round(20000);  // warm-up: pool, record and output capacities converge
     const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
     round(4000);
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << project;
+  }
+}
+
+TEST(ZeroAllocation, SessionSequencerSteadyStateAllocationFree) {
+  // Both sequencer entry points keep each session's messages as ranges
+  // over one reused byte pool: once capacities have seen a workload,
+  // neither a generated nor a mutated session of it allocates — for every
+  // project. The measured pass replays the warm-up's draws, so a rare
+  // session longer than all before it (a capacity doubling, not a
+  // per-session cost) cannot land in it.
+  for (const std::string& project : pits::all_project_names()) {
+    const model::DataModelSet models = pits::pit_for_project(project);
+    session::SequencerConfig config;
+    config.enabled = true;
+    config.project = project;
+    config.framing = session::framing_for_project(project);
+    const ModelInstantiator instantiator;
+    session::SessionSequencer sequencer(config, models, instantiator);
+    Bytes stream;
+    Bytes out;
+    const auto round = [&] {
+      Rng rng(0x5E55);
+      for (int i = 0; i < 4000; ++i) {
+        sequencer.generate_into(rng, stream);
+        sequencer.mutate_stream_into(ByteSpan(stream), rng, out);
+      }
+    };
+    round();  // warm-up: pool, range and output capacities converge
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    round();
     const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u) << project;
   }
