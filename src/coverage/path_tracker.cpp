@@ -1,5 +1,8 @@
 #include "coverage/path_tracker.hpp"
 
+#include <algorithm>
+#include <bit>
+
 namespace icsfuzz::cov {
 
 namespace {
@@ -8,11 +11,15 @@ namespace {
 constexpr std::size_t kInitialSlots = 1024;
 }  // namespace
 
+void PathTracker::allocate(std::size_t slots) {
+  slots_.assign(slots, 0);
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+}
+
 std::size_t PathTracker::probe(std::uint64_t trace_hash) const {
-  // Trace hashes are splitmix-finalized (dense::finish_hash), so the low
-  // bits are already uniform — the raw key indexes the table directly.
   const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(trace_hash) & mask;
+  std::size_t slot =
+      static_cast<std::size_t>((trace_hash * 0x9E3779B97F4A7C15ULL) >> shift_);
   while (slots_[slot] != 0 && slots_[slot] != trace_hash) {
     slot = (slot + 1) & mask;
   }
@@ -25,7 +32,7 @@ bool PathTracker::record(std::uint64_t trace_hash) {
     has_zero_ = true;
     return fresh;
   }
-  if (slots_.empty()) slots_.assign(kInitialSlots, 0);
+  if (slots_.empty()) allocate(kInitialSlots);
   const std::size_t slot = probe(trace_hash);
   if (slots_[slot] == trace_hash) return false;
   slots_[slot] = trace_hash;
@@ -42,7 +49,7 @@ bool PathTracker::contains(std::uint64_t trace_hash) const {
 
 void PathTracker::grow() {
   const std::vector<std::uint64_t> old = std::move(slots_);
-  slots_.assign(old.size() * 2, 0);
+  allocate(old.size() * 2);
   for (const std::uint64_t key : old) {
     if (key != 0) slots_[probe(key)] = key;
   }
@@ -71,7 +78,7 @@ std::vector<std::uint64_t> PathTracker::snapshot() const {
 }
 
 void PathTracker::clear() {
-  slots_.clear();
+  std::fill(slots_.begin(), slots_.end(), 0);
   filled_ = 0;
   has_zero_ = false;
 }

@@ -6,8 +6,10 @@
 // std::unordered_set (the ROADMAP's "batched path-tracker probing"
 // follow-on): record() runs once per execution, and with the map ops gone
 // sparse the node-based set's pointer chase and per-insert allocation were
-// a visible slice of the executor. Keys are already splitmix-finalized
-// 64-bit hashes, so the raw key indexes the table well; probes touch one
+// a visible slice of the executor. A key's home slot is the top bits of
+// its Fibonacci product, so keys whose low bits are weak (the FNV-1a
+// packet hashes of fuzz::GenerationalDedup, which keeps one tracker per
+// generation) spread as well as finalized trace hashes; probes touch one
 // contiguous cache line in the common case, inserts never allocate until
 // the table doubles, and the semantics (set of uint64) are observably
 // identical — asserted against an unordered_set oracle in
@@ -42,9 +44,14 @@ class PathTracker {
   /// — serialization, cross-process shipping, tests.
   [[nodiscard]] std::vector<std::uint64_t> snapshot() const;
 
+  /// Empties the set and keeps its table, so refilling it to the same
+  /// size allocates nothing.
   void clear();
 
  private:
+  /// Replaces the table with `slots` (a power of two) empty slots.
+  void allocate(std::size_t slots);
+
   /// Doubles the table and re-inserts every key (no tombstones: the
   /// tracker never erases individual paths).
   void grow();
@@ -57,6 +64,8 @@ class PathTracker {
   /// at 50% load — probe chains stay short and the memory cost is ~16
   /// bytes per path at worst.
   std::vector<std::uint64_t> slots_;
+  /// 64 - log2(slots_.size()): the Fibonacci product's top bits index.
+  unsigned shift_ = 64;
   std::size_t filled_ = 0;
   bool has_zero_ = false;
 };

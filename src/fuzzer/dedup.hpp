@@ -10,12 +10,17 @@
 // when `current_` reaches half the capacity it rotates into `previous_`
 // (dropping the generation before it). Membership checks consult both, so
 // at any moment at least the most recent capacity/2 distinct hashes are
-// still deduplicated — the half-clear costs one move, no rehash, no copy.
+// still deduplicated. Each generation is a cov::PathTracker, the
+// open-addressing u64 set: an insert allocates nothing until its table
+// doubles, and a rotation swaps the tables and clears the dropped one in
+// place, so the steady state never allocates.
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <utility>
+#include <vector>
+
+#include "coverage/path_tracker.hpp"
 
 namespace icsfuzz::fuzz {
 
@@ -28,12 +33,11 @@ class GenerationalDedup {
   /// Records `hash`; returns true when it was NOT seen in the two retained
   /// generations (i.e. the packet should execute).
   bool insert(std::uint64_t hash) {
-    if (current_.contains(hash) || previous_.contains(hash)) return false;
-    current_.insert(hash);
-    if (current_.size() >= capacity_ / 2) {
-      // Rotate: the oldest generation's memory is released, the newest
-      // half of the history is retained verbatim.
-      previous_ = std::move(current_);
+    if (previous_.contains(hash) || !current_.record(hash)) return false;
+    if (current_.path_count() >= capacity_ / 2) {
+      // Rotate: the oldest generation is dropped (its table is kept for
+      // the next one), the newest half of the history is retained verbatim.
+      std::swap(previous_, current_);
       current_.clear();
     }
     return true;
@@ -45,7 +49,7 @@ class GenerationalDedup {
 
   /// Hashes currently retained (both generations).
   [[nodiscard]] std::size_t size() const {
-    return current_.size() + previous_.size();
+    return current_.path_count() + previous_.path_count();
   }
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -53,24 +57,24 @@ class GenerationalDedup {
   /// Checkpoint access: the two generations, separately. Which set is
   /// `current_` matters — rotation fires off current_'s size — so resume
   /// must restore them as distinct sets, not a merged union.
-  [[nodiscard]] const std::unordered_set<std::uint64_t>& current_generation()
-      const {
+  [[nodiscard]] const cov::PathTracker& current_generation() const {
     return current_;
   }
-  [[nodiscard]] const std::unordered_set<std::uint64_t>& previous_generation()
-      const {
+  [[nodiscard]] const cov::PathTracker& previous_generation() const {
     return previous_;
   }
-  void restore_generations(std::unordered_set<std::uint64_t> current,
-                           std::unordered_set<std::uint64_t> previous) {
-    current_ = std::move(current);
-    previous_ = std::move(previous);
+  void restore_generations(const std::vector<std::uint64_t>& current,
+                           const std::vector<std::uint64_t>& previous) {
+    current_.clear();
+    previous_.clear();
+    for (const std::uint64_t hash : current) current_.record(hash);
+    for (const std::uint64_t hash : previous) previous_.record(hash);
   }
 
  private:
   std::size_t capacity_;
-  std::unordered_set<std::uint64_t> current_;
-  std::unordered_set<std::uint64_t> previous_;
+  cov::PathTracker current_;
+  cov::PathTracker previous_;
 };
 
 }  // namespace icsfuzz::fuzz
