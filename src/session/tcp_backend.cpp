@@ -34,24 +34,6 @@ std::uint64_t monotonic_ms() {
          static_cast<std::uint64_t>(ts.tv_nsec) / 1000000;
 }
 
-bool send_full(int fd, const std::uint8_t* data, std::size_t size) {
-  while (size != 0) {
-    const ssize_t sent = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        struct pollfd pfd {fd, POLLOUT, 0};
-        ::poll(&pfd, 1, 100);
-        continue;
-      }
-      return false;
-    }
-    data += sent;
-    size -= static_cast<std::size_t>(sent);
-  }
-  return true;
-}
-
 class TcpSessionBackend final : public fuzz::ExecBackend {
  public:
   TcpSessionBackend(const fuzz::ExecBackendConfig& config,
@@ -81,7 +63,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
                             fuzz::ExecResult& result) override {
     const std::size_t residue_index =
         split_stream(options_.framing, packet, ranges_);
-    responses_.resize(ranges_.size());
+    lengths_.resize(ranges_.size());
     if (options_.record_traffic) traffic_.clear();
 
     if (!ensure_server()) {
@@ -96,7 +78,6 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
         exec_timeout_ms_ > 0
             ? monotonic_ms() + static_cast<std::uint64_t>(exec_timeout_ms_)
             : 0;
-    const std::uint64_t base_served = served_seen_;
 
     if (conn_ < 0) {
       conn_ = connect_deadline(deadline);
@@ -106,64 +87,16 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
                     "tcp session connect failed: " + last_error_);
       }
     }
-    if (keep_connection_) {
-      // The header announces the bytes this session will send: the end of
-      // the last range, because bytes past kMaxSessionStreamBytes never are.
-      const auto stream_len = static_cast<std::uint32_t>(
-          ranges_.empty() ? 0 : ranges_.back().offset + ranges_.back().length);
-      if (!oop::write_full(ctl_write_, &stream_len, sizeof stream_len)) {
-        stop_server(/*orderly=*/false);
-        return fail(map, result, san::FaultKind::Segv, "tcp-server-lost",
-                    "tcp session header write failed");
-      }
-    }
-
-    for (std::size_t i = 0; i < ranges_.size(); ++i) {
-      const std::uint8_t* data = packet.data() + ranges_[i].offset;
-      const std::size_t length = ranges_[i].length;
-      if (!send_full(conn_, data, length)) {
-        stop_server(/*orderly=*/false);
-        return fail(map, result, san::FaultKind::Segv, "tcp-server-lost",
-                    "tcp session send failed");
-      }
-      if (!keep_connection_ && i == residue_index) {
-        // A per-connection server can only complete the residue at EOF —
-        // half-close BEFORE waiting for its ack or the session deadlocks.
-        ::shutdown(conn_, SHUT_WR);
-      }
-      if (!sync_wait_served(segment_.data(), base_served + i + 1, deadline)) {
-        stop_server(/*orderly=*/false);
-        return fail(map, result, san::FaultKind::Hang, "tcp-session-deadline",
-                    "session exceeded the " +
-                        std::to_string(exec_timeout_ms_) +
-                        " ms tcp deadline");
-      }
-      const std::uint32_t len = sync_load_response_len(segment_.data());
-      Bytes& response = responses_[i];
-      response.resize(len);
-      if (len != 0 &&
-          oop::read_full_deadline(conn_, response.data(), len,
-                                  remaining_ms(deadline)) !=
-              oop::ReadStatus::kOk) {
-        stop_server(/*orderly=*/false);
-        return fail(map, result, san::FaultKind::Hang, "tcp-session-deadline",
-                    "session response read missed the tcp deadline");
-      }
-    }
-    if (!keep_connection_ && residue_index == ranges_.size()) {
-      ::shutdown(conn_, SHUT_WR);
-    }
-    if (!sync_wait_sessions_done(segment_.data(), sessions_seen_ + 1,
-                                 deadline)) {
+    // Every response of the session, back to back; lengths_ delimits them.
+    result.response.clear();
+    const bool served =
+        keep_connection_
+            ? run_batch(packet, deadline, result.response)
+            : run_lockstep(packet, residue_index, deadline, result.response);
+    if (!served) {
       stop_server(/*orderly=*/false);
-      return fail(map, result, san::FaultKind::Hang, "tcp-session-deadline",
-                  "session completion missed the tcp deadline");
-    }
-    ++sessions_seen_;
-    served_seen_ = base_served + ranges_.size();
-    if (!keep_connection_) {
-      close_abortive(conn_);
-      conn_ = -1;
+      return fail(map, result, failure_kind_, failure_site_,
+                  std::move(failure_detail_));
     }
 
     oop::AuxResult aux;
@@ -178,26 +111,24 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     // cells, then run the exact in-process analysis.
     map.adopt_external(reinterpret_cast<const std::uint64_t*>(
         segment_.data()));
-    result.response.clear();
     result.session_states.clear();
     std::uint32_t state = kInitialSessionState;
-    for (std::size_t i = 0; i < responses_.size(); ++i) {
-      append(result.response, ByteSpan(responses_[i]));
+    std::size_t offset = 0;
+    for (std::size_t i = 0; i < ranges_.size(); ++i) {
+      const ByteSpan response(result.response.data() + offset, lengths_[i]);
+      offset += lengths_[i];
       state = next_session_state(
-          state, classify_response(options_.framing, ByteSpan(responses_[i])),
-          i);
+          state, classify_response(options_.framing, response), i);
       result.session_states.push_back(state);
+      if (options_.record_traffic) {
+        const std::uint8_t* data = packet.data() + ranges_[i].offset;
+        traffic_.requests.emplace_back(data, data + ranges_[i].length);
+        traffic_.responses.emplace_back(response.begin(), response.end());
+      }
     }
     if (options_.state_coverage) {
       for (const std::uint32_t s : result.session_states) {
         map.bump_trace_cell(session_state_cell(s));
-      }
-    }
-    if (options_.record_traffic) {
-      for (std::size_t i = 0; i < ranges_.size(); ++i) {
-        const std::uint8_t* data = packet.data() + ranges_[i].offset;
-        traffic_.requests.emplace_back(data, data + ranges_[i].length);
-        traffic_.responses.push_back(responses_[i]);
       }
     }
     result.session_messages = static_cast<std::uint32_t>(ranges_.size());
@@ -218,6 +149,156 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
   [[nodiscard]] std::uint64_t server_restarts() const { return restarts_; }
 
  private:
+  /// A kept-connection session (the batch contract of session_wire.hpp):
+  /// announce the stream, send it at once, wait once for sessions-done,
+  /// check the response table and read exactly its total. False, with
+  /// failure_* set, on any failure.
+  bool run_batch(ByteSpan packet, std::uint64_t deadline, Bytes& responses) {
+    // The header announces the bytes this session will send: the end of
+    // the last range, because bytes past kMaxSessionStreamBytes never are.
+    const auto stream_len = static_cast<std::uint32_t>(
+        ranges_.empty() ? 0 : ranges_.back().offset + ranges_.back().length);
+    if (!oop::write_full(ctl_write_, &stream_len, sizeof stream_len)) {
+      return lost("tcp session header write failed");
+    }
+    if (!send_deadline(packet.data(), stream_len, deadline)) return false;
+    if (!sync_wait_sessions_done(segment_.data(), sessions_seen_ + 1,
+                                 deadline)) {
+      return hang("session exceeded the " + std::to_string(exec_timeout_ms_) +
+                  " ms tcp deadline");
+    }
+    ++sessions_seen_;
+    std::uint64_t total = 0;
+    if (const char* failed = load_response_table(
+            segment_.data(), ranges_.size(), lengths_.data(), total)) {
+      return lost(std::string("tcp session server published a bad response "
+                              "table: ") +
+                  failed);
+    }
+    responses.resize(total);
+    return recv_deadline(responses.data(), responses.size(), deadline);
+  }
+
+  /// A per-connection session (the lockstep contract of session_wire.hpp):
+  /// each message is sent and its response read before the next, and the
+  /// client's half-close ends the session. False, with failure_* set, on
+  /// any failure.
+  bool run_lockstep(ByteSpan packet, std::size_t residue_index,
+                    std::uint64_t deadline, Bytes& responses) {
+    const std::uint64_t base_served = served_seen_;
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < ranges_.size(); ++i) {
+      if (!send_deadline(packet.data() + ranges_[i].offset, ranges_[i].length,
+                         deadline)) {
+        return false;
+      }
+      if (i == residue_index) {
+        // The server can only complete the residue at EOF — half-close
+        // BEFORE waiting for its ack or the session deadlocks.
+        ::shutdown(conn_, SHUT_WR);
+      }
+      if (!sync_wait_served(segment_.data(), base_served + i + 1, deadline)) {
+        return hang("session exceeded the " +
+                    std::to_string(exec_timeout_ms_) + " ms tcp deadline");
+      }
+      if (const char* failed =
+              load_response_len(segment_.data(), lengths_[i], total)) {
+        return lost(std::string("tcp session server published a bad "
+                                "response length: ") +
+                    failed);
+      }
+      const std::size_t at = responses.size();
+      responses.resize(at + lengths_[i]);
+      if (!recv_deadline(responses.data() + at, lengths_[i], deadline)) {
+        return false;
+      }
+    }
+    if (residue_index == ranges_.size()) ::shutdown(conn_, SHUT_WR);
+    if (!sync_wait_sessions_done(segment_.data(), sessions_seen_ + 1,
+                                 deadline)) {
+      return hang("session completion missed the tcp deadline");
+    }
+    ++sessions_seen_;
+    served_seen_ = base_served + ranges_.size();
+    close_abortive(conn_);
+    conn_ = -1;
+    return true;
+  }
+
+  /// Sends exactly `size` bytes before the session deadline. MSG_NOSIGNAL:
+  /// a server that closed its end must surface as a failed send, never as
+  /// a process-killing SIGPIPE.
+  bool send_deadline(const std::uint8_t* data, std::size_t size,
+                     std::uint64_t deadline) {
+    while (size != 0) {
+      const ssize_t sent =
+          ::send(conn_, data, size, MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (sent >= 0) {
+        data += sent;
+        size -= static_cast<std::size_t>(sent);
+        continue;
+      }
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        return lost("tcp session send failed");
+      }
+      if (!poll_deadline(POLLOUT, deadline)) {
+        return hang("session send missed the tcp deadline");
+      }
+    }
+    return true;
+  }
+
+  /// Reads exactly `size` bytes before the session deadline. In the common
+  /// case they are already queued and one recv takes them all.
+  bool recv_deadline(std::uint8_t* data, std::size_t size,
+                     std::uint64_t deadline) {
+    while (size != 0) {
+      const ssize_t got = ::recv(conn_, data, size, MSG_DONTWAIT);
+      if (got > 0) {
+        data += got;
+        size -= static_cast<std::size_t>(got);
+        continue;
+      }
+      if (got < 0 && errno == EINTR) continue;
+      const bool would_block =
+          got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+      if (!would_block || !poll_deadline(POLLIN, deadline)) {
+        return hang("session response read missed the tcp deadline");
+      }
+    }
+    return true;
+  }
+
+  /// Waits for `events` on the connection; false once the deadline passes.
+  [[nodiscard]] bool poll_deadline(short events,
+                                   std::uint64_t deadline) const {
+    for (;;) {
+      struct pollfd pfd {conn_, events, 0};
+      const int ready = ::poll(&pfd, 1, remaining_ms(deadline));
+      if (ready > 0) return true;
+      if (ready == 0 || errno != EINTR) return false;
+    }
+  }
+
+  bool lost(std::string detail) {
+    return record_failure(san::FaultKind::Segv, "tcp-server-lost",
+                          std::move(detail));
+  }
+
+  bool hang(std::string detail) {
+    return record_failure(san::FaultKind::Hang, "tcp-session-deadline",
+                          std::move(detail));
+  }
+
+  bool record_failure(san::FaultKind kind, const char* site,
+                      std::string detail) {
+    failure_kind_ = kind;
+    failure_site_ = site;
+    failure_detail_ = std::move(detail);
+    return false;
+  }
+
   /// Transport failure: the map still runs one (empty) trace cycle so the
   /// campaign-lifetime analysis stays uniform, and the failure surfaces as
   /// a synthetic fault exactly like the fork-server transport's.
@@ -466,8 +547,13 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
   std::string last_error_;
 
   std::vector<MessageRange> ranges_;
-  std::vector<Bytes> responses_;
+  /// Each message's response length, delimiting ExecResult::response.
+  std::vector<std::uint32_t> lengths_;
   SessionTraffic traffic_;
+  /// The failed session's fault, set by lost()/hang().
+  san::FaultKind failure_kind_ = san::FaultKind::Segv;
+  const char* failure_site_ = "";
+  std::string failure_detail_;
 };
 
 }  // namespace

@@ -36,15 +36,26 @@ bool send_full(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
+/// Reused across sessions: every response of the session, and the one
+/// being produced.
+struct SessionBuffers {
+  Bytes responses;
+  Bytes response;
+};
+
 /// One session: exactly the `stream_len` bytes its control-pipe header
-/// announced. Reassembles them, serves each message, and publishes
-/// progress; the reassembler sees those bytes and nothing more, so a torn
+/// announced. Reassembles them and serves each message into the reused
+/// session buffer, recording each response's length in the sync block's
+/// table; the reassembler sees those bytes and nothing more, so a torn
 /// frame at the end of one session is that session's residue and can never
-/// bleed into the next. False when the connection drops first: the client
-/// only tears it down on a failure, after which it respawns the server.
+/// bleed into the next. Then publishes sessions-done and sends every
+/// response at once — in that order, so a response total larger than the
+/// socket buffers cannot deadlock (session_wire.hpp). False when the
+/// connection drops first: the client only tears it down on a failure,
+/// after which it respawns the server.
 bool serve_session(ProtocolTarget& target, Framing framing, int conn,
                    std::size_t stream_len, std::uint8_t* segment,
-                   cov::DirtyWordList& dirty, std::uint64_t& served,
+                   cov::DirtyWordList& dirty, SessionBuffers& buffers,
                    std::uint64_t& sessions) {
   // Pristine per-session map state: sparse-clear the previous session's
   // dirty words, invalidate the aux magic so a torn-down session is never
@@ -60,16 +71,19 @@ bool serve_session(ProtocolTarget& target, Framing framing, int conn,
   san::FaultSink::arm();
   cov::begin_trace(segment, &dirty);
 
-  Bytes response;
+  Bytes& responses = buffers.responses;
+  Bytes& response = buffers.response;
+  responses.clear();
+  std::uint32_t served = 0;
   const auto serve_message = [&](ByteSpan message) {
     response.clear();
     // A tripped sink models the server process having died on its first
     // fault: later messages of the session go unanswered. The in-process
     // session backend applies the identical guard.
     if (!san::FaultSink::tripped()) target.process_into(message, response);
-    if (!response.empty()) send_full(conn, response.data(), response.size());
-    sync_publish_served(segment, ++served,
-                        static_cast<std::uint32_t>(response.size()));
+    append(responses, ByteSpan(response));
+    sync_store_response_len(segment, served++,
+                            static_cast<std::uint32_t>(response.size()));
   };
 
   StreamReassembler reassembler(framing, serve_message);
@@ -93,8 +107,8 @@ bool serve_session(ProtocolTarget& target, Framing framing, int conn,
   cov::end_trace();
   san::FaultSink::disarm_into(result.faults);
   oop::aux_store(segment + oop::kAuxOffset, oop::kAuxBytes, result);
-  sync_publish_session_done(segment, ++sessions);
-  return true;
+  sync_publish_session_done(segment, ++sessions, served);
+  return send_full(conn, responses.data(), responses.size());
 }
 
 /// Waits for the client's one connection. A header already on the control
@@ -163,7 +177,7 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing) {
   std::memset(segment.data, 0, cov::kMapSize);
   static cov::DirtyWordList dirty;
   dirty.count = 0;
-  std::uint64_t served = 0;
+  SessionBuffers buffers;
   std::uint64_t sessions = 0;
 
   int status = 0;
@@ -179,7 +193,7 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing) {
       break;
     }
     if (!serve_session(target, framing, conn, stream_len, segment.data,
-                       dirty, served, sessions)) {
+                       dirty, buffers, sessions)) {
       status = 8;
       break;
     }
