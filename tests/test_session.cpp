@@ -22,6 +22,7 @@
 //     and a restored campaign continues bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -30,6 +31,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <memory>
 #include <set>
@@ -452,7 +454,246 @@ TEST(SessionDeadline, SilentKeptConnectionServerHangsThenRespawnMatches) {
   expect_silent_server_hangs_then_respawn_matches(oop::kTcpCapKeepConnection);
 }
 
+/// Pins the calling thread to the first CPU it may run on, for the scope.
+/// A server spawned meanwhile inherits the mask, so both ends of the wire
+/// share the CPU and every wake is a real context switch.
+class PinToOneCpu {
+ public:
+  PinToOneCpu() {
+    pinned_ = ::sched_getaffinity(0, sizeof saved_, &saved_) == 0;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = pinned_ && ::sched_setaffinity(0, sizeof one, &one) == 0;
+  }
+  ~PinToOneCpu() {
+    if (pinned_) ::sched_setaffinity(0, sizeof saved_, &saved_);
+  }
+  [[nodiscard]] bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
+
+TEST(SessionDifferential, BatchedSessionsMatchOnOneCpu) {
+  // On one CPU the kept-connection session's single publish → wake →
+  // receive is a real handoff between this process and the server, so a
+  // lost wakeup, a response read that runs ahead of the server's send, or
+  // a table published before it is complete would show here as a hang or
+  // a mismatch. Generated and mutated sessions alternate.
+  const PinToOneCpu pin;
+  ASSERT_TRUE(pin.pinned());
+  const std::string project = "IEC104";
+  SequencerRig rig(project);
+  Rng rng(0xBA7C4 ^ stress_hash());
+  telem::Telemetry hub;
+  fuzz::ExecutorConfig config = session_executor_config(
+      project, fuzz::BackendKind::kTcp, /*record_traffic=*/true);
+  config.telemetry = telem::Sink(&hub, 0);
+  fuzz::Executor tcp(config);
+  fuzz::Executor in_proc(session_executor_config(
+      project, fuzz::BackendKind::kInProcess, /*record_traffic=*/true));
+  const auto factory = proto::target_factory(project);
+  std::unique_ptr<ProtocolTarget> in_proc_target = factory();
+  std::unique_ptr<ProtocolTarget> placeholder = factory();
+
+  constexpr std::size_t kSessions = 6000;
+  Bytes generated;
+  Bytes mutated;
+  for (std::size_t i = 0; i < kSessions && !HasFailure(); ++i) {
+    rig.sequencer.generate_into(rng, generated);
+    const Bytes* stream = &generated;
+    if (i % 2 == 1) {
+      rig.sequencer.mutate_stream_into(ByteSpan(generated), rng, mutated);
+      stream = &mutated;
+    }
+    const ByteSpan packet(stream->data(), stream->size());
+    const fuzz::ExecResult in_proc_result =
+        in_proc.run(*in_proc_target, packet);
+    const fuzz::ExecResult& tcp_result = tcp.run(*placeholder, packet);
+    expect_results_equal(in_proc_result, tcp_result, i);
+    expect_traffic_equal(in_proc.backend().traffic(), tcp.backend().traffic(),
+                         i);
+  }
+  EXPECT_EQ(tcp.executions(), kSessions);
+  EXPECT_EQ(in_proc.coverage().snapshot_accumulated(),
+            tcp.coverage().snapshot_accumulated());
+  const telem::Snapshot snap = hub.snapshot();
+  EXPECT_EQ(snap.counter(telem::Counter::kOopRestarts), 0u);
+  EXPECT_EQ(snap.counter(telem::Counter::kOopHangs), 0u);
+  EXPECT_EQ(snap.counter(telem::Counter::kOopServerLost), 0u);
+  // One server, one kept connection for all of it.
+  const std::set<std::uint16_t> ports = test::child_tcp_ports();
+  ASSERT_EQ(ports.size(), 1u);
+  EXPECT_EQ(test::count_tcp_sockets(*ports.begin(), test::kTcpEstablished),
+            2u);
+}
+
+/// The session that carries the most messages the framing layer allows,
+/// each a copy of `message`: kMaxSessionMessages frames, then 8 more that
+/// the split leaves as one residue (the servers drain up to 8 frames from
+/// one read). On APCI the first message is STARTDT_act, and each I-format
+/// copy gets the next send sequence number, as the server's window check
+/// expects.
+Bytes cap_session(session::Framing framing, const Bytes& message) {
+  Bytes stream;
+  std::size_t copies = session::kMaxSessionMessages + 8;
+  const bool apci = framing == session::Framing::kApci;
+  if (apci) {
+    stream = kStartDtAct;
+    --copies;
+  }
+  const bool i_format =
+      apci && message.size() >= 6 && message[0] == 0x68 && (message[2] & 1) == 0;
+  for (std::size_t k = 0; k < copies; ++k) {
+    const std::size_t at = stream.size();
+    stream.insert(stream.end(), message.begin(), message.end());
+    if (i_format) {
+      stream[at + 2] = static_cast<std::uint8_t>((k << 1) & 0xFE);
+      stream[at + 3] = static_cast<std::uint8_t>(k >> 7);
+      stream[at + 4] = 0;
+      stream[at + 5] = 0;
+    }
+  }
+  return stream;
+}
+
+TEST(SessionDifferential, LargestResponseTotalsMatch) {
+  // The biggest response totals the six targets produce: for each, the
+  // generated message whose cap session (cap_session) draws the most
+  // response bytes without a fault, found by a fixed-seed search. Over
+  // the kept connection those totals cross the socket as one send.
+  for (const std::string& project : pits::all_project_names()) {
+    SCOPED_TRACE(project);
+    const session::Framing framing = session::framing_for_project(project);
+    const model::DataModelSet models = pits::pit_for_project(project);
+    const fuzz::ModelInstantiator instantiator;
+    const auto factory = proto::target_factory(project);
+    std::unique_ptr<ProtocolTarget> in_proc_target = factory();
+    std::unique_ptr<ProtocolTarget> placeholder = factory();
+    fuzz::Executor search(session_executor_config(
+        project, fuzz::BackendKind::kInProcess, /*record_traffic=*/false));
+    Rng rng(0x1A56E);
+    Bytes message;
+    Bytes largest;
+    std::size_t largest_total = 0;
+    for (const model::DataModel& model : models.models()) {
+      for (int i = 0; i < 24; ++i) {
+        instantiator.generate_into(model, rng, message);
+        Bytes session = cap_session(framing, message);
+        const fuzz::ExecResult& result =
+            search.run(*in_proc_target, ByteSpan(session));
+        if (result.faults.empty() && result.response.size() > largest_total) {
+          largest_total = result.response.size();
+          largest = std::move(session);
+        }
+      }
+    }
+    ASSERT_GT(largest_total, 0u);
+
+    fuzz::Executor in_proc(session_executor_config(
+        project, fuzz::BackendKind::kInProcess, /*record_traffic=*/true));
+    fuzz::Executor tcp(session_executor_config(
+        project, fuzz::BackendKind::kTcp, /*record_traffic=*/true));
+    const ByteSpan packet(largest);
+    const fuzz::ExecResult in_proc_result = in_proc.run(*in_proc_target, packet);
+    const fuzz::ExecResult& tcp_result = tcp.run(*placeholder, packet);
+    expect_results_equal(in_proc_result, tcp_result, 0);
+    expect_traffic_equal(in_proc.backend().traffic(), tcp.backend().traffic(),
+                         0);
+    EXPECT_EQ(tcp_result.response.size(), largest_total);
+    EXPECT_EQ(tcp_result.session_messages, session::kMaxSessionMessages + 1);
+    std::printf("%-16s largest session response total: %zu bytes\n",
+                project.c_str(), largest_total);
+  }
+}
+
 #endif  // ICSFUZZ_SHIM_PATH
+
+// -- The wire's untrusted response lengths. -------------------------------
+
+/// A sync block of the batch contract: `count` in the table-count word,
+/// `lengths` as the entries (the count may disagree with them).
+void write_table(std::vector<std::uint8_t>& segment, std::uint32_t count,
+                 const std::vector<std::uint32_t>& lengths) {
+  std::memcpy(segment.data() + session::kSyncOffset + 20, &count, 4);
+  std::memcpy(segment.data() + session::kSyncOffset +
+                  session::kSyncTableOffset,
+              lengths.data(), 4 * lengths.size());
+}
+
+TEST(SessionWire, ResponseTableAcceptsOnlyBoundedTablesOfTheSentCount) {
+  std::vector<std::uint8_t> segment(session::kTcpSegmentBytes, 0);
+  std::vector<std::uint32_t> loaded(session::kMaxResponseTableEntries);
+  std::uint64_t total = 0;
+  const auto load = [&](std::size_t expected) {
+    return session::load_response_table(segment.data(), expected,
+                                        loaded.data(), total);
+  };
+  constexpr auto kBound =
+      static_cast<std::uint32_t>(session::kMaxSessionResponseBytes);
+
+  // Valid: the entry count the client sent, lengths within the bound.
+  write_table(segment, 3, {0, 10, 300});
+  EXPECT_EQ(load(3), nullptr);
+  EXPECT_EQ(total, 310u);
+  EXPECT_EQ(loaded[0], 0u);
+  EXPECT_EQ(loaded[1], 10u);
+  EXPECT_EQ(loaded[2], 300u);
+  // The largest legal table: every entry, the total at the bound.
+  std::vector<std::uint32_t> full(session::kMaxResponseTableEntries, 0);
+  full.back() = kBound;
+  write_table(segment, static_cast<std::uint32_t>(full.size()), full);
+  EXPECT_EQ(load(full.size()), nullptr);
+  EXPECT_EQ(total, session::kMaxSessionResponseBytes);
+
+  // Too many entries, too few, and a count past the table.
+  write_table(segment, 4, {1, 2, 3, 4});
+  EXPECT_STREQ(load(3), "response table entry count");
+  write_table(segment, 2, {1, 2});
+  EXPECT_STREQ(load(3), "response table entry count");
+  write_table(segment, 0xFFFFFFFFu, {});
+  EXPECT_STREQ(load(3), "response table entry count");
+
+  // Too long: one entry past the bound, and a garbage u32.
+  write_table(segment, 3, {5, kBound + 1, 5});
+  EXPECT_STREQ(load(3), "response length over bound");
+  write_table(segment, 3, {0xFFFFFFFFu, 0, 0});
+  EXPECT_STREQ(load(3), "response length over bound");
+
+  // Overflowing sum: every entry within the bound, the total past it.
+  write_table(segment, 3, {kBound / 2, kBound / 2, 1});
+  EXPECT_STREQ(load(3), "response total over bound");
+}
+
+TEST(SessionWire, LockstepResponseLengthIsBoundedLikeTheTable) {
+  std::vector<std::uint8_t> segment(session::kTcpSegmentBytes, 0);
+  std::uint32_t length = 0;
+  std::uint64_t total = 0;
+  constexpr auto kBound =
+      static_cast<std::uint32_t>(session::kMaxSessionResponseBytes);
+  const auto publish = [&](std::uint32_t len) {
+    std::memcpy(segment.data() + session::kSyncOffset + 16, &len, 4);
+  };
+  publish(kBound - 1);
+  EXPECT_EQ(session::load_response_len(segment.data(), length, total),
+            nullptr);
+  EXPECT_EQ(length, kBound - 1);
+  // The running total of a session is bounded too.
+  publish(2);
+  EXPECT_STREQ(session::load_response_len(segment.data(), length, total),
+               "response total over bound");
+  total = 0;
+  publish(0xFFFFFFFFu);
+  EXPECT_STREQ(session::load_response_len(segment.data(), length, total),
+               "response length over bound");
+}
 
 // -- Stateful coverage: the post-STARTDT proof. ---------------------------
 
