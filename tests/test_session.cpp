@@ -623,9 +623,11 @@ TEST(SessionDifferential, LargestResponseTotalsMatch) {
 void write_table(std::vector<std::uint8_t>& segment, std::uint32_t count,
                  const std::vector<std::uint32_t>& lengths) {
   std::memcpy(segment.data() + session::kSyncOffset + 20, &count, 4);
-  std::memcpy(segment.data() + session::kSyncOffset +
-                  session::kSyncTableOffset,
-              lengths.data(), 4 * lengths.size());
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    std::memcpy(segment.data() + session::kSyncOffset +
+                    session::kSyncTableOffset + 4 * i,
+                &lengths[i], 4);
+  }
 }
 
 TEST(SessionWire, ResponseTableAcceptsOnlyBoundedTablesOfTheSentCount) {
