@@ -21,7 +21,6 @@
 //     auto-distill, ParallelCampaign at W=2) bit-identical across all
 //     three ExecBackend kinds.
 #include <gtest/gtest.h>
-#include <sched.h>
 #include <sys/mman.h>
 
 #include <algorithm>
@@ -513,21 +512,8 @@ TEST(OopPersistent, HandoffStressOnOneCpu) {
   // and its sleep would leave both asleep until the deadline — and surface
   // here as a hang. Budget 7 interleaves recycles (a start request to the
   // server and a fresh child) with the handoff.
-  cpu_set_t saved;
-  ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &saved)) {
-      CPU_SET(cpu, &one);
-      break;
-    }
-  }
-  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
-  struct RestoreAffinity {
-    cpu_set_t mask;
-    ~RestoreAffinity() { ::sched_setaffinity(0, sizeof mask, &mask); }
-  } restore{saved};
+  const test::PinToOneCpu pin;
+  ASSERT_TRUE(pin.pinned());
 
   const std::string project = "libmodbus";
   const auto factory = proto::target_factory(project);

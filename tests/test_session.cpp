@@ -22,7 +22,6 @@
 //     and a restored campaign continues bit-for-bit.
 #include <gtest/gtest.h>
 
-#include <sched.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -454,40 +453,13 @@ TEST(SessionDeadline, SilentKeptConnectionServerHangsThenRespawnMatches) {
   expect_silent_server_hangs_then_respawn_matches(oop::kTcpCapKeepConnection);
 }
 
-/// Pins the calling thread to the first CPU it may run on, for the scope.
-/// A server spawned meanwhile inherits the mask, so both ends of the wire
-/// share the CPU and every wake is a real context switch.
-class PinToOneCpu {
- public:
-  PinToOneCpu() {
-    pinned_ = ::sched_getaffinity(0, sizeof saved_, &saved_) == 0;
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (CPU_ISSET(cpu, &saved_)) {
-        CPU_SET(cpu, &one);
-        break;
-      }
-    }
-    pinned_ = pinned_ && ::sched_setaffinity(0, sizeof one, &one) == 0;
-  }
-  ~PinToOneCpu() {
-    if (pinned_) ::sched_setaffinity(0, sizeof saved_, &saved_);
-  }
-  [[nodiscard]] bool pinned() const { return pinned_; }
-
- private:
-  cpu_set_t saved_;
-  bool pinned_ = false;
-};
-
 TEST(SessionDifferential, BatchedSessionsMatchOnOneCpu) {
   // On one CPU the kept-connection session's single publish → wake →
   // receive is a real handoff between this process and the server, so a
   // lost wakeup, a response read that runs ahead of the server's send, or
   // a table published before it is complete would show here as a hang or
   // a mismatch. Generated and mutated sessions alternate.
-  const PinToOneCpu pin;
+  const test::PinToOneCpu pin;
   ASSERT_TRUE(pin.pinned());
   const std::string project = "IEC104";
   SequencerRig rig(project);

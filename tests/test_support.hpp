@@ -5,6 +5,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -252,6 +253,37 @@ inline std::size_t count_tcp_sockets(std::uint16_t port, unsigned state) {
   }
   return count;
 }
+
+/// Pins the calling thread to the first CPU it may run on, for the scope.
+/// A target process spawned meanwhile inherits the mask, so both ends of a
+/// futex handoff share the CPU and every wake is a real context switch —
+/// where a lost wakeup shows, as a deadline hang.
+class PinToOneCpu {
+ public:
+  PinToOneCpu() {
+    if (::sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = ::sched_setaffinity(0, sizeof one, &one) == 0;
+  }
+  ~PinToOneCpu() {
+    if (pinned_) ::sched_setaffinity(0, sizeof saved_, &saved_);
+  }
+  PinToOneCpu(const PinToOneCpu&) = delete;
+  PinToOneCpu& operator=(const PinToOneCpu&) = delete;
+
+  [[nodiscard]] bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+};
 
 // -- Coverage-trace helpers shared by the sparse/SIMD/OOP suites. ---------
 
