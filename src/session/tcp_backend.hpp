@@ -3,13 +3,15 @@
 //
 // Per execution: the session stream is split into its canonical message
 // list (framing.hpp — the same split the server's reassembler will
-// reproduce from the segmented TCP stream) and each message is sent and
-// its response read back in lockstep through the session_wire.hpp sync
-// block. A server whose hello carries kTcpCapKeepConnection (the in-tree
-// shim) keeps one connection for its lifetime, and each session starts
-// with a length header on the control pipe; against any other server
-// (a preloaded stock binary) one connection is one session, ended by the
-// client's half-close.
+// reproduce from the segmented TCP stream). A server whose hello carries
+// kTcpCapKeepConnection (the in-tree shim) keeps one connection for its
+// lifetime and takes each session as one batch: a length header on the
+// control pipe, the whole stream in one send, one wait for sessions-done,
+// and every response in one receive, split by the server's length table.
+// Against any other server (a preloaded stock binary) one connection is
+// one session, each message is sent and its response read back in
+// lockstep, and the client's half-close ends it. session_wire.hpp holds
+// both contracts.
 // The server traces the whole session into the shared-memory map; the
 // client adopts it (CoverageMap::adopt_external), injects the
 // client-computed session-state cells, and runs the exact in-process

@@ -7,12 +7,13 @@
 // lifetime and serves every *session* over it. Before each session the
 // client writes a [u32 stream_len] header on the control descriptor; the
 // server reads exactly that many bytes from the connection, reassembles
-// them with the per-protocol framing (reassembler.hpp), feeds each
+// them with the per-protocol framing (reassembler.hpp) and feeds each
 // complete message (and, at the announced length, the residue if any) to
-// the wrapped ProtocolTarget, and answers with the raw response bytes.
-// Socket traffic stays pure protocol bytes. Coverage for the whole session
-// lands in the shared-memory map as ONE trace; progress and completion are
-// published through the session_wire.hpp sync block.
+// the wrapped ProtocolTarget. Coverage for the whole session lands in the
+// shared-memory map as ONE trace. Each message's response length goes to
+// the session_wire.hpp table; once the session is published (one wake),
+// all the raw response bytes follow in one send. Socket traffic stays
+// pure protocol bytes.
 //
 // Shutdown mirrors the fork server: EOF on the inherited control
 // descriptor (the client closing its pipe end) in place of a header ends
