@@ -8,9 +8,10 @@
 //
 //   * tcp — fuzz::Executor with the kTcp session backend driving an
 //     external `icsfuzz-shim-target --tcp` server over a real loopback
-//     socket: one connection for the server's lifetime, per message one
-//     send/receive lockstep through the shm sync block, coverage adopted
-//     from the shared map. `session_execs_per_sec` is floored by the baseline.
+//     socket: one connection for the server's lifetime, per session one
+//     send, one sessions-done wake and one receive delimited by the shm
+//     sync block's response-length table, coverage adopted from the
+//     shared map. `session_execs_per_sec` is floored by the baseline.
 //
 //   * in-process — the in-process session backend on the same streams:
 //     the same canonical split, the same per-message state chain, no
